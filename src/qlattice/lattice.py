@@ -125,11 +125,12 @@ def _require_same_ambient(*subspaces: Subspace) -> int:
 
 def join(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
-    d = _require_same_ambient(H1, H2)
-    return Subspace(orthonormal_range(np.hstack([H1.basis, H2.basis]), tol), d)
+    return join_all((H1, H2), tol)
 
 
 def join_all(subspaces, tol: Tolerance | None = None) -> Subspace:
+    """Span of the union, thresholded by the singular values of the stacked
+    bases."""
     subspaces = list(subspaces)
     d = _require_same_ambient(*subspaces)
     return Subspace(orthonormal_range(np.hstack([H.basis for H in subspaces]), tol), d)
@@ -141,9 +142,7 @@ def meet(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
     Equivalently the kernel of P1 + P2 - 2I; symmetric in the arguments and
     thresholded spectrally.
     """
-    d = _require_same_ambient(H1, H2)
-    A = H1.projector() + H2.projector() - 2.0 * np.eye(d)
-    return Subspace(kernel(A, tol), d)
+    return meet_all((H1, H2), tol)
 
 
 def meet_all(subspaces, tol: Tolerance | None = None) -> Subspace:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, PreconditionViolated
 from .lattice import Subspace, between, join, leq, meet
 from .mobius import MobiusOperator, mobius
-from .numerics import frobenius, hermitian_eig
+from .numerics import frobenius, hermitian_eig, rank_cutoff
 from .rng import Xorshift64Star
 from .tolerances import Tolerance, default_tolerance
 
@@ -230,11 +230,10 @@ class SpectralReport:
         return self.zero_count >= self.required_zero_count
 
 
-def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance | None = None,
-                zero_threshold: float = 1e-7) -> SpectralReport:
+def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> SpectralReport:
     """Spectral constraints on D(H1,H2): real spectrum summing to zero, with
-    at least d - dim(H1 v H2) vanishing eigenvalues (everything orthogonal
-    to the join is annihilated)."""
+    at least d - dim(H1 v H2) vanishing eigenvalues, |w| <= rank_cutoff(D)
+    (everything orthogonal to the join is annihilated)."""
     tol = tol or default_tolerance()
     D = mobius([H1, H2], tol).matrix
     w, _ = hermitian_eig(D)
@@ -243,7 +242,7 @@ def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance | None = None,
     return SpectralReport(
         eigenvalues=w,
         abs_sum=abs(float(np.sum(w))),
-        zero_count=int(np.sum(np.abs(w) <= zero_threshold)),
+        zero_count=int(np.sum(np.abs(w) <= rank_cutoff(D, tol))),
         required_zero_count=d - join_dim,
     )
 

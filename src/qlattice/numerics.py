@@ -1,8 +1,10 @@
 """Dense complex-matrix kernel: Hermitian eigendecompositions, orthonormal
-range and kernel extraction with tolerance-based rank decisions.
+range (by SVD) and kernel (by eigendecomposition) extraction.
 
-Everything downstream (lattice operations, operator identities) reduces to
-the three primitives in this module.
+Every rank decision -- which singular values of a spanning set and which
+eigenvalues of a Hermitian matrix count as zero -- uses the one threshold
+rank_cutoff.  Everything downstream (lattice operations, operator
+identities) reduces to these primitives.
 """
 
 from __future__ import annotations
@@ -48,20 +50,16 @@ def require_hermitian(A: np.ndarray, context: str = "input") -> np.ndarray:
     return (A + A.conj().T) / 2.0
 
 
-def hermitian_eig(A, backend: str = "lapack") -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+def hermitian_eig(A) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix (numpy.linalg.eigh),
+    eigenvalues ascending.
 
-    backend "lapack" uses numpy.linalg.eigh; backend "jacobi" uses the cyclic
-    complex Jacobi solver below.  Both satisfy the same residual contract:
+    Residual contract, shared with jacobi_hermitian_eig:
     ||A v_i - w_i v_i|| <= 1e-10 ||A||_F per pair, orthonormal eigenvectors.
     """
     M = require_hermitian(as_matrix(A), "hermitian_eig")
-    if backend == "lapack":
-        w, V = np.linalg.eigh(M)
-        return EigenDecomposition(w, V)
-    if backend == "jacobi":
-        return jacobi_hermitian_eig(M)
-    raise ValueError(f"unknown backend {backend!r}")
+    w, V = np.linalg.eigh(M)
+    return EigenDecomposition(w, V)
 
 
 def jacobi_hermitian_eig(A, sweep_cap: int = 100) -> EigenDecomposition:
@@ -69,7 +67,8 @@ def jacobi_hermitian_eig(A, sweep_cap: int = 100) -> EigenDecomposition:
 
     Sweeps zero each off-diagonal entry in turn until the off-diagonal
     Frobenius mass falls below 1e-14 ||A||_F.  Slower than LAPACK but fully
-    transparent; kept as an independent cross-check backend.
+    transparent; the tests use it as an independent reference for
+    hermitian_eig.
     """
     M = require_hermitian(as_matrix(A), "jacobi_hermitian_eig")
     n = M.shape[0]
@@ -131,53 +130,33 @@ def jacobi_hermitian_eig(A, sweep_cap: int = 100) -> EigenDecomposition:
     return EigenDecomposition(w[order], V[:, order])
 
 
+def rank_cutoff(M: np.ndarray, tol: Tolerance) -> float:
+    """The one rank rule: a singular value or eigenvalue of M at or below
+    this threshold (rank_eps relative to ||M||_F, absolute below 1) is zero."""
+    return tol.rank_eps * max(1.0, frobenius(M))
+
+
 def orthonormal_range(A, tol: Tolerance | None = None) -> np.ndarray:
     """Orthonormal basis of the column space of A.
 
-    Modified Gram-Schmidt with column-norm pivoting and a re-orthogonalization
-    pass; columns whose residual norm falls below
-    rank_eps * max(1, ||A||_F) are dropped, so the column count is the
-    numerical rank.  A zero (or empty) matrix yields a 0-column result.
-    """
-    tol = tol or default_tolerance()
-    work = as_matrix(A).copy()
-    d, m = work.shape
-    if m == 0:
-        return np.zeros((d, 0), dtype=complex)
-    threshold = tol.rank_eps * max(1.0, frobenius(work))
-    basis = []
-    alive = list(range(m))
-    while alive:
-        norms = [float(np.linalg.norm(work[:, j])) for j in alive]
-        best = int(np.argmax(norms))
-        if norms[best] <= threshold:
-            break
-        j = alive.pop(best)
-        q = work[:, j] / norms[best]
-        # re-orthogonalization pass cleans up accumulated projection error
-        for col in basis:
-            q = q - col * np.vdot(col, q)
-        nq = float(np.linalg.norm(q))
-        if nq <= threshold:
-            continue
-        q = q / nq
-        basis.append(q)
-        if alive:
-            rest = work[:, alive]
-            work[:, alive] = rest - np.outer(q, q.conj() @ rest)
-    if not basis:
-        return np.zeros((d, 0), dtype=complex)
-    return np.column_stack(basis)
-
-
-def kernel(A, tol: Tolerance | None = None, backend: str = "lapack") -> np.ndarray:
-    """Orthonormal basis of the near-null eigenspace of a Hermitian matrix.
-
-    Columns span the eigenspace with |w| <= rank_eps * max(1, ||A||_F).
+    The left singular vectors whose singular value exceeds rank_cutoff, so
+    the column count is the numerical rank.  A zero (or empty) matrix yields
+    a 0-column result.
     """
     tol = tol or default_tolerance()
     M = as_matrix(A)
-    w, V = hermitian_eig(M, backend=backend)
-    cutoff = tol.rank_eps * max(1.0, frobenius(M))
-    mask = np.abs(w) <= cutoff
-    return V[:, mask]
+    if M.shape[1] == 0:
+        return np.zeros((M.shape[0], 0), dtype=complex)
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    return U[:, s > rank_cutoff(M, tol)]
+
+
+def kernel(A, tol: Tolerance | None = None) -> np.ndarray:
+    """Orthonormal basis of the near-null eigenspace of a Hermitian matrix.
+
+    Columns span the eigenspace with |w| <= rank_cutoff(A).
+    """
+    tol = tol or default_tolerance()
+    M = as_matrix(A)
+    w, V = hermitian_eig(M)
+    return V[:, np.abs(w) <= rank_cutoff(M, tol)]

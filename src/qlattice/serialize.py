@@ -8,6 +8,7 @@ Vectors reuse the matrix format with one column.
 
 from __future__ import annotations
 
+import cmath
 import json
 
 import numpy as np
@@ -17,6 +18,21 @@ from .errors import ParseError
 from .lattice import Subspace
 from .numerics import as_matrix
 from .tolerances import Tolerance
+
+
+def _complex_entries(data, count: int, what: str) -> list[complex]:
+    """Exactly `count` finite [re, im] pairs, or ParseError."""
+    if not isinstance(data, list):
+        raise ParseError(f"{what} entries must be a list, got {type(data).__name__}")
+    if len(data) != count:
+        raise ParseError(f"{what}: expected {count} entries, got {len(data)}")
+    try:
+        values = [complex(re, im) for re, im in data]
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad {what} entry: {exc}") from exc
+    if not all(cmath.isfinite(z) for z in values):
+        raise ParseError(f"{what} has non-finite entries")
+    return values
 
 
 def matrix_to_json(M) -> dict:
@@ -34,12 +50,7 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ParseError(f"bad matrix object: {exc}") from exc
     if rows < 1 or cols < 0:
         raise ParseError(f"bad matrix shape {rows}x{cols}")
-    if len(data) != rows * cols:
-        raise ParseError(f"expected {rows * cols} entries, got {len(data)}")
-    try:
-        flat = [complex(re, im) for re, im in data]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad matrix entry: {exc}") from exc
+    flat = _complex_entries(data, rows * cols, "matrix")
     return np.array(flat, dtype=complex).reshape(rows, cols)
 
 
@@ -57,17 +68,11 @@ def subspace_from_json(obj, tol: Tolerance | None = None) -> Subspace:
         raise ParseError(f"bad subspace object: {exc}") from exc
     if d < 1:
         raise ParseError(f"bad dimension {d}")
+    if not isinstance(vectors, list):
+        raise ParseError(f"vectors must be a list, got {type(vectors).__name__}")
     if not vectors:
         return Subspace.zero(d)
-    cols = []
-    for vec in vectors:
-        if len(vec) != d:
-            raise ParseError(f"vector length {len(vec)} != d = {d}")
-        try:
-            cols.append([complex(re, im) for re, im in vec])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad vector entry: {exc}") from exc
-    V = np.array(cols, dtype=complex).T
+    V = np.array([_complex_entries(vec, d, "vector") for vec in vectors], dtype=complex).T
     return Subspace.from_vectors(V, d, tol)
 
 

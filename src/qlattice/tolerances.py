@@ -10,9 +10,10 @@ from dataclasses import dataclass
 class Tolerance:
     """Thresholds for rank decisions and operator-identity residuals.
 
-    rank_eps gates spectral rank decisions (which eigenvalues count as zero,
-    which columns survive orthonormalization).  identity_eps gates Frobenius
-    residuals of operator identities and the boolean lattice predicates.
+    rank_eps gates every rank decision through numerics.rank_cutoff (which
+    singular values and eigenvalues count as zero).  identity_eps gates
+    Frobenius residuals of operator identities and the boolean lattice
+    predicates.
     """
 
     rank_eps: float = 1e-9

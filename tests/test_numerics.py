@@ -30,12 +30,12 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-@pytest.mark.parametrize("backend", ["lapack", "jacobi"])
-def test_eig_reconstruction_contract(backend, rng):
+@pytest.mark.parametrize("eig", [hermitian_eig, jacobi_hermitian_eig], ids=["lapack", "jacobi"])
+def test_eig_reconstruction_contract(eig, rng):
     for k in range(40):
         n = 2 + k % 7
         A = random_hermitian(rng, n)
-        w, V = hermitian_eig(A, backend=backend)
+        w, V = eig(A)
         scale = max(1.0, np.linalg.norm(A))
         assert np.linalg.norm(A - V @ np.diag(w) @ V.conj().T) <= 1e-9 * scale
         assert np.linalg.norm(A @ V - V @ np.diag(w)) <= 1e-10 * np.linalg.norm(A) + 1e-12
@@ -90,14 +90,24 @@ def test_range_full_rank_random(rng):
     assert np.linalg.norm(Q.conj().T @ Q - np.eye(4)) <= 1e-10
 
 
+def kahan_matrix(n=16, c=0.9):
+    # diag(s^k)(I - c triu(1,1)): a tiny smallest singular value although no
+    # Gram-Schmidt column residual is small; the (1-1e-10)^k column scaling
+    # makes column-norm pivoting keep the natural column order
+    s = np.sqrt(1.0 - c * c)
+    k = np.arange(n)
+    return (np.diag(s ** k) @ (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+            * (1.0 - 1e-10) ** k)
+
+
 def test_range_matches_svd_rank(rng):
-    # independent rank oracle
-    for _ in range(30):
-        d, m = 5, 7
-        base = rng.complex_gaussian_matrix(d, 3)
-        mix = rng.complex_gaussian_matrix(3, m)
-        A = base @ mix
-        svd_rank = int(np.sum(np.linalg.svd(A, compute_uv=False) > 1e-9))
+    # independent rank oracle: rank-deficient products and a Kahan matrix
+    # (sigma_min = 4.5e-10, numerical rank 15 of 16)
+    inputs = [rng.complex_gaussian_matrix(5, 3) @ rng.complex_gaussian_matrix(3, 7)
+              for _ in range(30)]
+    for A in inputs + [kahan_matrix()]:
+        cutoff = 1e-9 * max(1.0, np.linalg.norm(A))
+        svd_rank = int(np.sum(np.linalg.svd(A, compute_uv=False) > cutoff))
         assert orthonormal_range(A).shape[1] == svd_rank
 
 

@@ -22,6 +22,9 @@ def test_matrix_schema_errors():
         matrix_from_json({"rows": 2, "cols": 2, "data": [[1, 0]]})
     with pytest.raises(ParseError):
         matrix_from_json({"rows": 2, "data": []})
+    for data in (5, [[float("nan"), 0.0]], [[0.0, float("inf")]]):
+        with pytest.raises(ParseError):
+            matrix_from_json({"rows": 1, "cols": 1, "data": data})
 
 
 def test_subspace_roundtrip(rng):
@@ -39,6 +42,12 @@ def test_subspace_loader_orthonormalizes():
 
 def test_subspace_empty_vectors_is_zero():
     assert subspace_from_json({"d": 3, "vectors": []}).is_zero()
+
+
+@pytest.mark.parametrize("vectors", [5, [5], [[[float("nan"), 0], [0, 0]]]])
+def test_subspace_schema_errors(vectors):
+    with pytest.raises(ParseError):
+        subspace_from_json({"d": 2, "vectors": vectors})
 
 
 def test_vector_requires_single_column():
