@@ -9,6 +9,10 @@ class DimensionMismatch(QLatticeError):
     """Operands live in Hilbert spaces of different ambient dimension."""
 
 
+class InvalidMatrix(QLatticeError, ValueError):
+    """A matrix argument is not 1-d or 2-d, or has non-finite entries."""
+
+
 class NonHermitianInput(QLatticeError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 

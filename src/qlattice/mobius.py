@@ -5,6 +5,15 @@ projectors onto joins of every nonempty argument subset, plus a final
 (-1)^n projector onto the meet of all arguments; the dual form swaps joins
 and meets.  These vanish on Boolean (mutually commuting) families and
 quantify how far quantum probabilities are from being additive.
+
+The subset table exploits the absorbing elements of the lattice: H v 1 = 1
+and H ^ 0 = 0.  A subset one of whose one-element-smaller subsets already
+joins to the full space (meets to the zero space) reuses that entry instead
+of combining again, the alternating sum adds each distinct entry's projector
+once with its summed sign, and the final chain stops at its own absorbing
+element.  No rank decision changes: [U B] with U unitary has every singular
+value >= 1, and sum(P_i) - kI with a zero member has no eigenvalue above -1,
+so combining with an absorbing element always returns it again.
 """
 
 from __future__ import annotations
@@ -47,28 +56,51 @@ def _validated(subspaces) -> tuple[Subspace, ...]:
     return subs
 
 
-def _subset_table(subs, combine, tol):
-    """Subspace for every nonempty bitmask, built incrementally and memoized."""
+def _subset_table(subs, combine, absorbing, tol):
+    """Subspace for every nonempty bitmask, built incrementally and memoized.
+
+    A subset with an absorbing entry among any of its one-element-smaller
+    subsets (not only the one without its lowest bit, so that the saving does
+    not depend on argument order) reuses that entry without combining.
+    """
     table: dict[int, Subspace] = {}
     for mask in range(1, 1 << len(subs)):
         low = mask & (-mask)
         idx = low.bit_length() - 1
         rest = mask ^ low
-        table[mask] = subs[idx] if rest == 0 else combine(table[rest], subs[idx], tol)
+        if rest == 0:
+            table[mask] = subs[idx]
+            continue
+        bits = mask
+        while bits:
+            bit = bits & (-bits)
+            smaller = table[mask ^ bit]
+            if absorbing(smaller):
+                table[mask] = smaller
+                break
+            bits ^= bit
+        else:
+            table[mask] = combine(table[rest], subs[idx], tol)
     return table
 
 
-def _alternating_sum(subs, combine, final_combine, tol) -> np.ndarray:
+def _alternating_sum(subs, combine, absorbing, final_combine, final_absorbing,
+                     tol) -> np.ndarray:
     n = len(subs)
     d = subs[0].dim_ambient
-    table = _subset_table(subs, combine, tol)
+    # one summed sign per distinct entry: absorbed subsets share an object
+    weights: dict[int, list] = {}
+    for mask, H in _subset_table(subs, combine, absorbing, tol).items():
+        weights.setdefault(id(H), [H, 0])[1] += (-1) ** (n - mask.bit_count())
     M = np.zeros((d, d), dtype=complex)
-    for mask, H in table.items():
-        size = mask.bit_count()
-        M += (-1) ** (n - size) * H.projector()
+    for H, weight in weights.values():
+        if weight:
+            M += weight * H.projector()
     # final term uses the opposite lattice operation over all arguments
     acc = subs[0]
     for H in subs[1:]:
+        if final_absorbing(acc):
+            break
         acc = final_combine(acc, H, tol)
     M += (-1) ** n * acc.projector()
     return M
@@ -82,7 +114,7 @@ def mobius(subspaces, tol: Tolerance | None = None) -> MobiusOperator:
     """
     subs = _validated(subspaces)
     tol = tol or default_tolerance()
-    M = _alternating_sum(subs, join, meet, tol)
+    M = _alternating_sum(subs, join, Subspace.is_full, meet, Subspace.is_zero, tol)
     return MobiusOperator((M + M.conj().T) / 2.0, subs, dual_flag=False)
 
 
@@ -90,7 +122,7 @@ def mobius_dual(subspaces, tol: Tolerance | None = None) -> MobiusOperator:
     """Dual operator: meets over subsets, join term at the end."""
     subs = _validated(subspaces)
     tol = tol or default_tolerance()
-    M = _alternating_sum(subs, meet, join, tol)
+    M = _alternating_sum(subs, meet, Subspace.is_zero, join, Subspace.is_full, tol)
     return MobiusOperator((M + M.conj().T) / 2.0, subs, dual_flag=True)
 
 

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NoConvergence, NonHermitianInput
+from .errors import NoConvergence, InvalidMatrix, NonHermitianInput
 from .tolerances import Tolerance, default_tolerance
 
 HERMITICITY_RTOL = 1e-8
@@ -25,14 +25,15 @@ class EigenDecomposition(NamedTuple):
 
 
 def as_matrix(A) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
+    """Coerce to a 2-d complex array (a vector becomes one column); raise
+    InvalidMatrix for other numbers of axes or for non-finite entries."""
     M = np.asarray(A, dtype=complex)
     if M.ndim == 1:
         M = M.reshape(-1, 1)
     if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={M.ndim}")
+        raise InvalidMatrix(f"expected a matrix, got ndim={M.ndim}")
     if not (np.all(np.isfinite(M.real)) and np.all(np.isfinite(M.imag))):
-        raise ValueError("matrix contains non-finite entries")
+        raise InvalidMatrix("matrix contains non-finite entries")
     return M
 
 

@@ -1,9 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from qlattice.errors import DimensionMismatch, TooManyArguments
 from qlattice.golden import worked_example
-from qlattice.lattice import (Subspace, join, meet,
+from qlattice.lattice import (Subspace, join, join_all, meet, meet_all,
                               random_nested_pair, random_subspace)
 from qlattice.mobius import (commutator_identity_residual, mobius,
                              mobius_dual, perp_negation_residual,
@@ -112,6 +114,55 @@ def test_example_triple_operator_against_independent_oracle():
     assert abs(D[0, 0].real - (-0.1646)) <= 5e-4
     assert abs(D[2, 2].real - 0.1488) <= 5e-4
     assert abs(np.trace(D).real - (-1.0)) <= 1e-9  # join of the triple is a plane
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_wide_tuples_match_inclusion_exclusion(d, n, rng):
+    """Wide mixed-rank tuples, with the full space, the zero space and a
+    repeated argument, against a join_all/meet_all sum over every subset."""
+    subs = [random_subspace(d, rng.integer(1, d), rng) for _ in range(n - 3)]
+    subs.insert(n % 3, Subspace.full(d))
+    subs.insert(1, Subspace.zero(d))
+    subs.append(subs[0])
+    for build, over, last in ((mobius, join_all, meet_all),
+                              (mobius_dual, meet_all, join_all)):
+        ref = (-1) ** n * last(subs).projector()
+        for mask in range(1, 1 << n):
+            members = [subs[j] for j in range(n) if mask >> j & 1]
+            ref = ref + (-1) ** (n - len(members)) * over(members).projector()
+        assert frobenius(build(subs).matrix - ref) <= 1e-10
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls to the join or meet that qlattice.mobius looks up."""
+    module = importlib.import_module("qlattice.mobius")
+    original = getattr(module, name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_full_argument_saturates_every_superset_join(monkeypatch, rng):
+    # the full space sits at bit 0, so every subset holding it is absorbed
+    # through a smaller subset other than the one without its lowest bit;
+    # only the 2^6 - 7 subsets of two or more lines are joined
+    lines = [random_subspace(8, 1, rng) for _ in range(6)]
+    calls = _count_calls(monkeypatch, "join")
+    mobius([Subspace.full(8)] + lines)
+    assert calls[0] <= 2 ** 6 - 7
+
+
+def test_zero_argument_saturates_every_superset_meet(monkeypatch, rng):
+    hyperplanes = [random_subspace(8, 7, rng) for _ in range(6)]
+    calls = _count_calls(monkeypatch, "meet")
+    mobius_dual([Subspace.zero(8)] + hyperplanes)
+    assert calls[0] <= 2 ** 6 - 7
 
 
 def test_triple_trace_counts_subspace_dimensions(rng):

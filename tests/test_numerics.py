@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlattice.errors import NonHermitianInput
+from qlattice.errors import InvalidMatrix, NonHermitianInput, QLatticeError
+from qlattice.lattice import Subspace
 from qlattice.numerics import (hermitian_eig, jacobi_hermitian_eig, kernel,
                                orthonormal_range)
 from qlattice.rng import Xorshift64Star
@@ -28,6 +29,20 @@ def test_eig_diagonal_already_sorted_ascending():
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NonHermitianInput):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Subspace.line([float("nan"), 1.0]),
+    lambda: orthonormal_range(np.array([[1.0, np.inf], [0.0, 1.0]])),
+    lambda: hermitian_eig(np.full((2, 2), np.nan)),
+    lambda: orthonormal_range(np.zeros((2, 2, 2))),
+], ids=["line-nan", "range-inf", "eig-nan", "range-3d"])
+def test_malformed_matrix_input_raises_typed_error(call):
+    with pytest.raises(InvalidMatrix) as info:
+        call()
+    # still a ValueError for callers that caught the untyped error
+    assert isinstance(info.value, QLatticeError)
+    assert isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("eig", [hermitian_eig, jacobi_hermitian_eig], ids=["lapack", "jacobi"])
