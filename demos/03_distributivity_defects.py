@@ -12,8 +12,8 @@ import numpy as np
 
 from qlattice import (Subspace, Xorshift64Star, mobius, orthocomplement,
                       pi_deviation, random_subspace, varpi1, varpi2, meet)
-from qlattice.distributivity import varpi_link_residuals
 from qlattice.golden import worked_example
+from qlattice.sweeps import varpi_link_residuals
 
 np.set_printoptions(precision=3, suppress=True)
 rng = Xorshift64Star(3)

@@ -14,8 +14,8 @@ import numpy as np
 from qlattice import (DensityMatrix, Xorshift64Star, ds_classify, expectation,
                       mobius, random_density, random_subspace, stddev,
                       hermitian_eig)
-from qlattice.observables import moment_relation_residuals
 from qlattice.golden import worked_example
+from qlattice.sweeps import moment_relation_residuals
 
 rng = Xorshift64Star(4)
 

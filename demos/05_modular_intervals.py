@@ -12,9 +12,10 @@ import numpy as np
 
 from qlattice import (Xorshift64Star, join, meet, mobius, proj_map, psi_map,
                       random_subspace, spectral_p1)
-from qlattice.modular import (Interval, is_lower_transpose, p2_residuals,
+from qlattice.modular import (Interval, is_lower_transpose,
                               random_sandwiched_member, transpose_pair,
                               transpose_up, transpose_down)
+from qlattice.sweeps import p2_residuals
 
 rng = Xorshift64Star(5)
 
@@ -39,8 +40,8 @@ print("interval projector trace:", np.trace(P).real, "(upper rank - lower rank)"
 print("psi vs mobius:",
       np.linalg.norm(psi_map(H1, H2).matrix - mobius([H1, H2]).matrix))
 
-# %% telescoping through a sandwiched member
-res = p2_residuals(H1, H2, h)
+# %% telescoping through a sandwiched member and through the interval's top
+res = p2_residuals(H1, H2, h, H1)
 print("telescoping residual:", res["telescope"])
 
 # %% spectral constraints on the pair operator

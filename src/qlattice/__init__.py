@@ -14,8 +14,8 @@ from .lattice import (Subspace, commutes, join, join_all, leq, meet,
 from .mobius import MobiusOperator, mobius, mobius_dual
 from .modular import (Interval, SpectralReport, is_lower_transpose, proj_map,
                       psi_map, spectral_p1, transpose_down, transpose_up)
-from .numerics import (EigenDecomposition, hermitian_eig, jacobi_hermitian_eig,
-                       kernel, orthonormal_range)
+from .numerics import (EigenDecomposition, hermitian_eig, kernel,
+                       orthonormal_range)
 from .observables import (DensityMatrix, ds_classify, expectation,
                           random_density, stddev)
 from .rng import Xorshift64Star
@@ -29,7 +29,7 @@ __all__ = [
     "MassFunction", "MobiusOperator", "SpectralReport", "Subspace",
     "Tolerance", "Xorshift64Star", "belief_plausibility", "commutes",
     "default_tolerance", "ds_classify", "expectation", "generic_fiducial",
-    "hermitian_eig", "is_lower_transpose", "jacobi_hermitian_eig", "join",
+    "hermitian_eig", "is_lower_transpose", "join",
     "join_all", "kernel", "leq", "meet", "meet_all", "mixed_coherent_state",
     "mobius", "mobius_delta", "mobius_dual", "orthocomplement",
     "orthonormal_range", "pi_deviation", "proj_map", "psi_map",

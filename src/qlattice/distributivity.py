@@ -4,7 +4,9 @@ total probability.
 In a distributive lattice both defect projectors vanish identically; on
 subspaces they vanish exactly when enough of the arguments commute, and
 their size is tied to the non-additivity operators through exact
-decomposition identities.
+decomposition identities (the varpi links and the pi decomposition), which
+are stated once, in qlattice.sweeps.  Arguments in different ambient
+dimensions raise DimensionMismatch from the first join or meet.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import DimensionMismatch
 from .lattice import Subspace, join, meet, orthocomplement
-from .mobius import mobius, mobius_dual
 from .numerics import frobenius
 from .tolerances import Tolerance, default_tolerance
 
@@ -31,11 +31,6 @@ class DeviationProjector:
         self.matrix.setflags(write=False)
 
 
-def _same_dim(*subs: Subspace):
-    if len({H.dim_ambient for H in subs}) != 1:
-        raise DimensionMismatch("mixed ambient dimensions")
-
-
 def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
            tol: Tolerance | None = None) -> DeviationProjector:
     """First distributivity defect:
@@ -46,7 +41,6 @@ def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
     Symmetric under swapping H1 and H2.
     """
     tol = tol or default_tolerance()
-    _same_dim(H1, H2, H0)
     upper = meet(join(H1, H0, tol), join(H2, H0, tol), tol)
     lower = join(meet(H1, H2, tol), H0, tol)
     M = upper.projector() - lower.projector()
@@ -59,7 +53,6 @@ def varpi2(H1: Subspace, H2: Subspace, H0: Subspace,
     P[(H1 v H2) ^ H0] - P[(H1 ^ H0) v (H2 ^ H0)].
     """
     tol = tol or default_tolerance()
-    _same_dim(H1, H2, H0)
     upper = meet(join(H1, H2, tol), H0, tol)
     lower = join(meet(H1, H0, tol), meet(H2, H0, tol), tol)
     M = upper.projector() - lower.projector()
@@ -75,65 +68,11 @@ def pi_deviation(H0: Subspace, H1: Subspace,
     binary alternative (H1, H1-perp) loses nothing.
     """
     tol = tol or default_tolerance()
-    _same_dim(H0, H1)
     H1p = orthocomplement(H1, tol)
     M = (H0.projector()
          - meet(H1, H0, tol).projector()
          - meet(H1p, H0, tol).projector())
     return DeviationProjector((M + M.conj().T) / 2.0, "pi", (H0, H1))
-
-
-def pi_decomposition_residual(H0: Subspace, H1: Subspace,
-                              tol: Tolerance | None = None) -> float:
-    """Residual of pi(H0;H1) = varpi2(H1, H1p | H0) + D(H1^H0, H1p^H0).
-
-    Splits the total-probability deviation into a distributivity part and a
-    non-additivity part; exact for every pair.
-    """
-    tol = tol or default_tolerance()
-    H1p = orthocomplement(H1, tol)
-    lhs = pi_deviation(H0, H1, tol).matrix
-    rhs = (varpi2(H1, H1p, H0, tol).matrix
-           + mobius([meet(H1, H0, tol), meet(H1p, H0, tol)], tol).matrix)
-    return frobenius(lhs - rhs)
-
-
-def varpi_link_residuals(H1: Subspace, H2: Subspace, H0: Subspace,
-                         tol: Tolerance | None = None) -> dict[str, float]:
-    """Residuals of the decompositions of both defects into Moebius operators.
-
-    Each defect is checked against two independent expressions:
-
-      varpi1 = -D(1,2,0) - D(H1^H2, H0) - D(1,2) + D(H1vH0, H2vH0)
-      varpi1 = Ddual(1,2,0) + D(1,0) + D(2,0) - D(H1^H2, H0) + D(H1vH0, H2vH0)
-      varpi2 = Ddual(1,2,0) + D(H1vH2, H0) + D(1,2) - D(H1^H0, H2^H0)
-      varpi2 = -D(1,2,0) - D(1,0) - D(2,0) + D(H1vH2, H0) - D(H1^H0, H2^H0)
-
-    The second form of each pair follows from the first via the triple sum
-    rule, so the four residuals jointly tie non-distributivity,
-    non-additivity and non-commutativity together.
-    """
-    tol = tol or default_tolerance()
-    _same_dim(H1, H2, H0)
-    vp1 = varpi1(H1, H2, H0, tol).matrix
-    vp2 = varpi2(H1, H2, H0, tol).matrix
-
-    D120 = mobius([H1, H2, H0], tol).matrix
-    Dd120 = mobius_dual([H1, H2, H0], tol).matrix
-    D12 = mobius([H1, H2], tol).matrix
-    D10 = mobius([H1, H0], tol).matrix
-    D20 = mobius([H2, H0], tol).matrix
-    D_meet12_0 = mobius([meet(H1, H2, tol), H0], tol).matrix
-    D_join12_0 = mobius([join(H1, H2, tol), H0], tol).matrix
-    D_joins = mobius([join(H1, H0, tol), join(H2, H0, tol)], tol).matrix
-    D_meets = mobius([meet(H1, H0, tol), meet(H2, H0, tol)], tol).matrix
-
-    return {
-        "varpi1_direct": frobenius(vp1 - (-D120 - D_meet12_0 - D12 + D_joins)),
-        "varpi1_dual": frobenius(vp1 - (Dd120 + D10 + D20 - D_meet12_0 + D_joins)),
-        "varpi2_direct": frobenius(vp2 - (Dd120 + D_join12_0 + D12 - D_meets)),
-        "varpi2_dual": frobenius(vp2 - (-D120 - D10 - D20 + D_join12_0 - D_meets)),
-    }
 
 
 def binary_defect_residuals(H1: Subspace, H0: Subspace,

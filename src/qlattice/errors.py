@@ -17,10 +17,6 @@ class NonHermitianInput(QLatticeError):
     """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
-class NoConvergence(QLatticeError):
-    """An iterative solver hit its sweep cap before converging."""
-
-
 class TooManyArguments(QLatticeError):
     """Subset enumeration over the arguments would be intractable."""
 

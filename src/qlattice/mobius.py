@@ -14,6 +14,9 @@ once with its summed sign, and the final chain stops at its own absorbing
 element.  No rank decision changes: [U B] with U unitary has every singular
 value >= 1, and sum(P_i) - kI with a zero member has no eigenvalue above -1,
 so combining with an absorbing element always returns it again.
+
+The identities these operators satisfy (the commutator link, the triple sum
+rule and its chain reductions) are stated once, in qlattice.sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, TooManyArguments
-from .lattice import Subspace, join, leq, meet, orthocomplement
+from .lattice import Subspace, join, meet, orthocomplement
 from .numerics import frobenius
 from .tolerances import Tolerance, default_tolerance
 
@@ -124,53 +127,6 @@ def mobius_dual(subspaces, tol: Tolerance | None = None) -> MobiusOperator:
     tol = tol or default_tolerance()
     M = _alternating_sum(subs, meet, Subspace.is_zero, join, Subspace.is_full, tol)
     return MobiusOperator((M + M.conj().T) / 2.0, subs, dual_flag=True)
-
-
-def commutator_identity_residual(H1: Subspace, H2: Subspace,
-                                 tol: Tolerance | None = None) -> float:
-    """Frobenius residual of [P1, P2] = D(H1,H2) (P1 - P2).
-
-    Links the projector commutator to the two-argument non-additivity
-    operator; zero up to round-off for every pair.
-    """
-    tol = tol or default_tolerance()
-    P1, P2 = H1.projector(), H2.projector()
-    D = mobius([H1, H2], tol).matrix
-    return frobenius(P1 @ P2 - P2 @ P1 - D @ (P1 - P2))
-
-
-def triple_identity_residuals(H1: Subspace, H2: Subspace, H3: Subspace,
-                              tol: Tolerance | None = None) -> dict[str, float]:
-    """Residuals of the three-argument operator identities.
-
-    Returns Frobenius residuals of:
-      sum_rule          D(1,2,3) + Ddual(1,2,3) + D(1,2) + D(1,3) + D(2,3) = 0
-      sandwich          P1 P3 P2 - P(H1^H2^H3) = P1 D(1,2,3) P2
-      double_commutator [[P1,P3],P2] = (P1-P3) D P2 + P2 D (P1-P3)
-    and, when H1 <= H2 holds, the chain reductions
-      chain_direct      D(1,2,3) + D(1,3) = 0
-      chain_dual        Ddual(1,2,3) + D(2,3) = 0
-    """
-    tol = tol or default_tolerance()
-    P1, P2, P3 = H1.projector(), H2.projector(), H3.projector()
-    D = mobius([H1, H2, H3], tol).matrix
-    Dd = mobius_dual([H1, H2, H3], tol).matrix
-    D12 = mobius([H1, H2], tol).matrix
-    D13 = mobius([H1, H3], tol).matrix
-    D23 = mobius([H2, H3], tol).matrix
-
-    out = {
-        "sum_rule": frobenius(D + Dd + D12 + D13 + D23),
-        "sandwich": frobenius(
-            P1 @ P3 @ P2 - meet(meet(H1, H2, tol), H3, tol).projector() - P1 @ D @ P2),
-    }
-    comm13 = P1 @ P3 - P3 @ P1
-    out["double_commutator"] = frobenius(
-        (comm13 @ P2 - P2 @ comm13) - ((P1 - P3) @ D @ P2 + P2 @ D @ (P1 - P3)))
-    if leq(H1, H2, tol):
-        out["chain_direct"] = frobenius(D + D13)
-        out["chain_dual"] = frobenius(Dd + D23)
-    return out
 
 
 def perp_negation_residual(H1: Subspace, H2: Subspace,

@@ -5,7 +5,9 @@ An interval [L, U] collects all subspaces between L and U.  Two intervals
 are transposes when one arises from the other by joining/meeting with a
 fixed subspace; modularity makes that correspondence a bijection, and
 chains of transposes (projective intervals) telescope the non-additivity
-operators in a way checked here.
+operators.  The swept identities (the transpose round trip, spectral
+constraint P1, the telescoping P2 and P3) are stated once, in
+qlattice.sweeps; the interval lemmas checked only by the unit tests stay here.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .mobius import MobiusOperator, mobius
 from .numerics import frobenius, hermitian_eig, rank_cutoff
 from .rng import Xorshift64Star
 from .tolerances import Tolerance, default_tolerance
+
+# |sum of the eigenvalues of D(H1,H2)| allowed by spectral constraint P1
+P1_SUM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,6 @@ def transpose_down(hp: Subspace, H1: Subspace, H2: Subspace,
     return meet(hp, H1, tol)
 
 
-def transpose_roundtrip_residual(h: Subspace, H1: Subspace, H2: Subspace,
-                                 tol: Tolerance | None = None) -> float:
-    """||P(h) - P((h v H2) ^ H1)|| for h in [H1^H2, H1]; zero by modularity."""
-    tol = tol or default_tolerance()
-    back = transpose_down(transpose_up(h, H1, H2, tol), H1, H2, tol)
-    return frobenius(back.projector() - h.projector())
-
-
 def sandwich_residual(first: Interval, middle: Interval, last: Interval,
                       tol: Tolerance | None = None) -> float:
     """For a transpose chain first <=tr middle <=tr last, the middle's lower
@@ -138,80 +135,6 @@ def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> MobiusO
     return MobiusOperator((M + M.conj().T) / 2.0, (H1, H2), dual_flag=False)
 
 
-def p2_residuals(H1: Subspace, H2: Subspace, h: Subspace,
-                 h_second: Subspace | None = None,
-                 tol: Tolerance | None = None) -> dict[str, float]:
-    """Telescoping of D over a sandwiched interval.
-
-    For h in [H1^H2, H1]:  D(H2, h) + D(h v H2, H1) = D(H2, H1).
-    With a second member h' the two telescoped sums must also agree with
-    each other.
-    """
-    tol = tol or default_tolerance()
-    if not Interval(meet(H1, H2, tol), H1).contains(h, tol):
-        raise PreconditionViolated("h outside [H1^H2, H1]")
-    total = mobius([H2, H1], tol).matrix
-
-    def telescoped(member: Subspace) -> np.ndarray:
-        return (mobius([H2, member], tol).matrix
-                + mobius([join(member, H2, tol), H1], tol).matrix)
-
-    out = {"telescope": frobenius(telescoped(h) - total)}
-    if h_second is not None:
-        if not Interval(meet(H1, H2, tol), H1).contains(h_second, tol):
-            raise PreconditionViolated("second member outside [H1^H2, H1]")
-        out["telescope_second"] = frobenius(telescoped(h_second) - total)
-        out["members_agree"] = frobenius(telescoped(h) - telescoped(h_second))
-    return out
-
-
-def projective_triple(H1p: Subspace, H2: Subspace, H3p: Subspace,
-                      tol: Tolerance | None = None):
-    """Derive the projective configuration from its free parameters.
-
-    Given H1' and H2, set H2' = H1' v H2 and H1 = H1' ^ H2, so that
-    [H1,H1'] <=tr [H2,H2'].  H3' must satisfy H3' <= H2' and H3' v H2 = H2';
-    then H3 = H3' ^ H2 and [H3,H3'] <=tr [H2,H2'] as well, making [H1,H1']
-    and [H3,H3'] projective.
-    """
-    tol = tol or default_tolerance()
-    H2p = join(H1p, H2, tol)
-    H1 = meet(H1p, H2, tol)
-    if not leq(H3p, H2p, tol):
-        raise PreconditionViolated("H3' not contained in H1' v H2")
-    if not join(H3p, H2, tol).equiv(H2p, tol):
-        raise PreconditionViolated("H3' v H2 does not reach H1' v H2")
-    H3 = meet(H3p, H2, tol)
-    return H1, H2p, H3
-
-
-def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace,
-                 h: Subspace | None = None,
-                 tol: Tolerance | None = None) -> dict[str, float]:
-    """Identities relating projective intervals [H1,H1'] and [H3,H3'].
-
-    endpoint:  P(H3') - P(H3) - P(H1') + P(H1) = D(H1',H2) - D(H2,H3')
-    member  :  with h in [H1,H1'] and h' = (h v H2) ^ H3',
-               P(h') - P(H3) - P(h) + P(H1) = D(h,H2) - D(H2,h')
-    roundtrip: (h' v H2) ^ H1' recovers h.
-    """
-    tol = tol or default_tolerance()
-    H1, H2p, H3 = projective_triple(H1p, H2, H3p, tol)
-    lhs = H3p.projector() - H3.projector() - H1p.projector() + H1.projector()
-    rhs = mobius([H1p, H2], tol).matrix - mobius([H2, H3p], tol).matrix
-    out = {"endpoint": frobenius(lhs - rhs)}
-    if h is not None:
-        if not Interval(H1, H1p).contains(h, tol):
-            raise PreconditionViolated("h outside [H1, H1']")
-        hp = meet(join(h, H2, tol), H3p, tol)
-        lhs2 = hp.projector() - H3.projector() - h.projector() + H1.projector()
-        rhs2 = mobius([h, H2], tol).matrix - mobius([H2, hp], tol).matrix
-        out["member"] = frobenius(lhs2 - rhs2)
-        back = meet(join(hp, H2, tol), H1p, tol)
-        out["roundtrip"] = frobenius(back.projector() - h.projector())
-    return out
-
-
 @dataclass(frozen=True)
 class SpectralReport:
     """Eigenvalue constraints on a two-argument non-additivity operator."""
@@ -223,7 +146,7 @@ class SpectralReport:
 
     @property
     def sum_ok(self) -> bool:
-        return self.abs_sum <= 1e-8
+        return self.abs_sum <= P1_SUM_EPS
 
     @property
     def multiplicity_ok(self) -> bool:

@@ -1,6 +1,7 @@
 """Expectation values and standard deviations of Hermitian operators
-against density matrices, plus the moment relations tying the pair
-non-additivity operator to its constituent projectors.
+against density matrices.  The moment relations tying the pair
+non-additivity operator to its constituent projectors are stated once, in
+qlattice.sweeps.
 """
 
 from __future__ import annotations
@@ -8,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, NegativeVariance, NonHermitianInput
-from .lattice import Subspace, join, meet
+from .lattice import Subspace
 from .mobius import mobius
 from .numerics import as_matrix, hermitian_eig, require_hermitian
 from .rng import Xorshift64Star
@@ -82,38 +83,6 @@ def stddev(rho: DensityMatrix, Theta) -> float:
     if variance < -1e-8:
         raise NegativeVariance(f"variance {variance:.3e}")
     return float(np.sqrt(max(variance, 0.0)))
-
-
-def moment_relation_residuals(rho: DensityMatrix, H1: Subspace, H2: Subspace,
-                              tol: Tolerance | None = None) -> dict[str, float]:
-    """Residuals of the mean and variance relations for D(H1, H2).
-
-    mean:     E[D] = E[Pv] - E[P1] - E[P2] + E[Pm]
-    variance: Var[D] = Var[Pv] - Var[P1] - Var[P2] + Var[Pm] + a,
-    where a collects the cross terms (including the symmetrized product
-    E[P1 P2 + P2 P1]) that survive because the four projectors are not
-    independent observables.
-    """
-    tol = tol or default_tolerance()
-    if H1.dim_ambient != rho.dim or H2.dim_ambient != rho.dim:
-        raise DimensionMismatch("state and subspaces live in different dimensions")
-    P1, P2 = H1.projector(), H2.projector()
-    Pv = join(H1, H2, tol).projector()
-    Pm = meet(H1, H2, tol).projector()
-    D = mobius([H1, H2], tol).matrix
-
-    E = lambda T: expectation(rho, T)
-    Var = lambda T: np.trace(T @ T @ rho.matrix).real - E(T) ** 2
-
-    e1, e2, ev, em = E(P1), E(P2), E(Pv), E(Pm)
-    mean_res = abs(E(D) - (ev - e1 - e2 + em))
-
-    a = (-2.0 * e1 ** 2 - 2.0 * e2 ** 2 - 2.0 * e1 * e2
-         + 2.0 * ev * (e1 + e2)
-         + E(P1 @ P2 + P2 @ P1)
-         + 2.0 * em * (e1 + e2 - ev - 1.0))
-    var_res = abs(Var(D) - (Var(Pv) - Var(P1) - Var(P2) + Var(Pm) + a))
-    return {"mean": mean_res, "variance": var_res}
 
 
 def ds_classify(rho: DensityMatrix, H1: Subspace, H2: Subspace,

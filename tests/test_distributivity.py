@@ -1,12 +1,15 @@
 import numpy as np
 
-from qlattice.distributivity import (binary_defect_residuals,
-                                     pi_decomposition_residual, pi_deviation,
-                                     varpi1, varpi2, varpi_link_residuals)
+import pytest
+
+from qlattice.distributivity import (binary_defect_residuals, pi_deviation,
+                                     varpi1, varpi2)
+from qlattice.errors import DimensionMismatch
 from qlattice.golden import worked_example
 from qlattice.lattice import (Subspace, commutes, join,
                               random_nested_pair, random_subspace)
 from qlattice.numerics import frobenius, hermitian_eig
+from qlattice.sweeps import pi_decomposition_residuals, varpi_link_residuals
 
 
 def coordinate_subspaces():
@@ -78,12 +81,25 @@ def test_pi_vanishes_for_commuting_pair():
     assert frobenius(pi_deviation(H0, H1).matrix) <= 1e-12
 
 
+def test_mixed_ambient_dimensions_raise(rng):
+    H3a, H3b = random_subspace(3, 1, rng), random_subspace(3, 2, rng)
+    H4 = random_subspace(4, 2, rng)
+    for args in ((H3a, H3b, H4), (H3a, H4, H3b), (H4, H3a, H3b)):
+        with pytest.raises(DimensionMismatch):
+            varpi1(*args)
+        with pytest.raises(DimensionMismatch):
+            varpi2(*args)
+    for args in ((H3a, H4), (H4, H3a)):
+        with pytest.raises(DimensionMismatch):
+            pi_deviation(*args)
+
+
 def test_pi_decomposition_random(rng):
     for d in (2, 3, 4):
         for _ in range(10):
             H0 = random_subspace(d, rng.integer(1, d), rng)
             H1 = random_subspace(d, rng.integer(1, d), rng)
-            assert pi_decomposition_residual(H0, H1) <= 1e-9
+            assert pi_decomposition_residuals(H0, H1)["decomposition"] <= 1e-9
 
 
 def test_swap_symmetry(rng):

@@ -3,16 +3,16 @@ import pytest
 
 from qlattice.errors import PreconditionViolated
 from qlattice.golden import worked_example
-from qlattice.lattice import (Subspace, inside, join, meet, random_subspace)
+from qlattice.lattice import (Subspace, join, meet, random_subspace)
 from qlattice.mobius import mobius
 from qlattice.modular import (Interval, is_lower_transpose,
-                              membership_residuals, p2_residuals,
-                              p3_residuals, proj_map, psi_map,
+                              membership_residuals, proj_map, psi_map,
                               random_sandwiched_member, sandwich_residual,
-                              spectral_p1, transpose_down,
-                              transpose_pair, transpose_roundtrip_residual,
+                              spectral_p1, transpose_down, transpose_pair,
                               transpose_up)
 from qlattice.numerics import frobenius
+from qlattice.sweeps import (_projective, p2_residuals, p3_residuals,
+                             transpose_roundtrip_residuals)
 
 
 def generic_pair(rng, d=4):
@@ -79,7 +79,7 @@ def test_transpose_roundtrip_random(rng):
         H1 = random_subspace(d, 2 + rng.integer(0, 2), rng)
         H2 = random_subspace(d, rng.integer(1, d), rng)
         h = random_sandwiched_member(H1, H2, rng)
-        assert transpose_roundtrip_residual(h, H1, H2) <= 1e-9
+        assert transpose_roundtrip_residuals(h, H1, H2)["pair_roundtrip"] <= 1e-9
 
 
 def test_transpose_map_precondition(rng):
@@ -152,10 +152,9 @@ def test_psi_map_commuting_pair():
 
 def test_p2_endpoint_cases(rng):
     H1, H2 = generic_pair(rng)
-    res_top = p2_residuals(H1, H2, H1)
-    assert res_top["telescope"] <= 1e-11
-    res_bottom = p2_residuals(H1, H2, meet(H1, H2))
-    assert res_bottom["telescope"] <= 1e-11
+    res = p2_residuals(H1, H2, H1, meet(H1, H2))
+    assert res["telescope"] <= 1e-11
+    assert res["telescope_second"] <= 1e-11
 
 
 def test_p2_random_members(rng):
@@ -174,41 +173,43 @@ def test_p2_rejects_member_outside(rng):
     H2 = random_subspace(4, 1, rng)
     outside = random_subspace(4, 2, rng)
     with pytest.raises(PreconditionViolated):
-        p2_residuals(H1, H2, outside)
+        p2_residuals(H1, H2, outside, H1)
+    with pytest.raises(PreconditionViolated):
+        p2_residuals(H1, H2, H1, outside)
 
 
-def _projective_config(rng, d=5):
-    H2 = random_subspace(d, rng.integer(1, d), rng)
-    H1p = random_subspace(d, rng.integer(1, d), rng)
-    H2p = join(H1p, H2)
-    for _ in range(20):
-        k = max(1, H2p.rank - H2.rank) + rng.integer(0, H2.rank + 1)
-        k = min(k, H2p.rank)
-        H3p = inside(H2p, k, rng)
-        if join(H3p, H2).equiv(H2p):
-            return H1p, H2, H3p
-    raise AssertionError("no projective draw")
-
-
-def test_p3_self_projective_is_zero(rng):
-    H1p, H2, _ = _projective_config(rng)
-    res = p3_residuals(H1p, H2, H1p)
+def test_p3_self_projective_is_zero(rng, tol):
+    H1p, H2, _, _ = _projective(5, rng, tol)
+    res = p3_residuals(H1p, H2, H1p, H1p)
     assert res["endpoint"] <= 1e-11
 
 
-def test_p3_random(rng):
+def test_p3_random(rng, tol):
     for _ in range(10):
-        H1p, H2, H3p = _projective_config(rng)
-        H1 = meet(H1p, H2)
-        h = random_sandwiched_member(H1p, H2, rng)
-        res = p3_residuals(H1p, H2, H3p, h)
+        res = p3_residuals(*_projective(5, rng, tol))
         assert all(v <= 1e-9 for v in res.values())
 
 
-def test_p3_endpoint_member_reduces(rng):
-    H1p, H2, H3p = _projective_config(rng)
+def test_p3_endpoint_member_reduces(rng, tol):
+    H1p, H2, H3p, _ = _projective(5, rng, tol)
     res = p3_residuals(H1p, H2, H3p, h=H1p)
     assert abs(res["member"] - res["endpoint"]) <= 1e-10
+
+
+def test_p3_preconditions():
+    e = np.eye(4)
+    H1p = Subspace.line(e[:, 0] + e[:, 1])
+    H2 = Subspace.line(e[:, 1])
+    plane = Subspace.from_vectors(e[:, :2])   # H1' v H2
+    # H3' = e3 is not inside H1' v H2
+    with pytest.raises(PreconditionViolated, match="not contained"):
+        p3_residuals(H1p, H2, Subspace.line(e[:, 2]), H1p)
+    # H3' = H2 lies inside, but H3' v H2 = H2 falls short of H1' v H2
+    with pytest.raises(PreconditionViolated, match="does not reach"):
+        p3_residuals(H1p, H2, H2, H1p)
+    # h = e1 is not inside [H1' ^ H2, H1'] = [0, H1']
+    with pytest.raises(PreconditionViolated, match="h outside"):
+        p3_residuals(H1p, H2, plane, Subspace.line(e[:, 0]))
 
 
 def test_spectral_p1_commuting_pair():

@@ -8,9 +8,9 @@ from qlattice.lattice import Subspace, orthocomplement, random_subspace
 from qlattice.mobius import mobius
 from qlattice.numerics import hermitian_eig
 from qlattice.observables import (DensityMatrix, ds_classify, expectation,
-                                  moment_relation_residuals,
                                   projector_moment_residual, random_density,
                                   stddev)
+from qlattice.sweeps import moment_relation_residuals
 
 
 def test_density_matrix_validation():
@@ -121,6 +121,9 @@ def test_dimension_mismatch(rng):
     rho = random_density(3, rng)
     with pytest.raises(DimensionMismatch):
         expectation(rho, np.eye(4))
+    H1, H2 = random_subspace(4, 1, rng), random_subspace(4, 2, rng)
+    with pytest.raises(DimensionMismatch):
+        moment_relation_residuals(rho, H1, H2)
 
 
 def test_entropy_of_maximally_mixed():
