@@ -10,11 +10,10 @@ operators and constrains their spectra.
 
 import numpy as np
 
-from qlattice import (Xorshift64Star, join, meet, mobius, proj_map, psi_map,
+from qlattice import (Xorshift64Star, mobius, proj_map, psi_map,
                       random_subspace, spectral_p1)
-from qlattice.modular import (Interval, is_lower_transpose,
-                              random_sandwiched_member, transpose_pair,
-                              transpose_up, transpose_down)
+from qlattice.modular import (is_lower_transpose, random_sandwiched_member,
+                              transpose_pair, transpose_up, transpose_down)
 from qlattice.sweeps import p2_residuals
 
 rng = Xorshift64Star(5)

@@ -20,8 +20,7 @@ import numpy as np
 
 from . import coherent as coh
 from .errors import QLatticeError
-from .golden import (KNOWN_INCONSISTENT, compute_example_values,
-                     evaluate_goldens)
+from .golden import KNOWN_INCONSISTENT, evaluate_goldens
 from .mobius import mobius, mobius_dual
 from .numerics import hermitian_eig
 from .observables import DensityMatrix, ds_classify, expectation, stddev
@@ -52,7 +51,7 @@ def cmd_repro(args) -> int:
             failing.append(res)
     # same-code-path identity: the second defect equals the total-probability
     # deviation exactly in this configuration
-    values = compute_example_values(tol)
+    values = {res.record.name: res.computed for res in results}
     exact = float(np.max(np.abs(values["varpi2"] - values["pi"])))
     print(f"  varpi2 == pi exact comparison: {exact:.2e} "
           + ("pass" if exact <= 1e-12 else "FAIL"))

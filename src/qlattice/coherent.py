@@ -50,7 +50,6 @@ class CoherentFamily:
         self.fiducial.setflags(write=False)
         self.half = pow(2, -1, d)  # 2^{-1} in Z(d); exists because d is odd
         n = np.arange(d)
-        self.fourier = self.omega(np.outer(n, n)) / np.sqrt(d)
         self.z_gen = np.diag(self.omega(n))
         self.x_gen = np.roll(np.eye(d, dtype=complex), 1, axis=0)
         self._displacements: dict[tuple[int, int], np.ndarray] = {}

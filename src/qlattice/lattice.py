@@ -17,21 +17,20 @@ from .tolerances import Tolerance, default_tolerance
 
 
 class Subspace:
-    """A subspace of H(d), held as d x r matrix with orthonormal columns.
+    """A subspace of H(d), held as its orthonormal basis: a d x r matrix with
+    orthonormal columns.
 
-    r = 0 encodes the zero subspace, r = d the full space.
+    d is the basis's row count and r its rank; a basis with no columns
+    (r = 0) is the zero subspace, r = d the full space.
     """
 
     __slots__ = ("basis", "dim_ambient", "_projector")
 
-    def __init__(self, basis, dim_ambient: int | None = None):
+    def __init__(self, basis):
         B = as_matrix(basis).copy()  # private copy; instances are immutable
-        d = B.shape[0] if dim_ambient is None else dim_ambient
-        if B.shape[0] != d:
-            raise DimensionMismatch(f"basis has {B.shape[0]} rows, ambient dimension is {d}")
-        if B.shape[1] > d:
-            raise ValueError(f"more columns ({B.shape[1]}) than ambient dimension {d}")
         r = B.shape[1]
+        # the Gram check also rejects more columns than rows; it is skipped
+        # for the empty basis, which is orthonormal and which meets return often
         if r:
             gram_defect = frobenius(B.conj().T @ B - np.eye(r))
             if gram_defect > 1e-10:
@@ -39,27 +38,23 @@ class Subspace:
                                  "use Subspace.from_vectors to orthonormalize")
         B.setflags(write=False)
         self.basis = B
-        self.dim_ambient = d
+        self.dim_ambient = B.shape[0]
         self._projector = None
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, vectors, dim_ambient: int | None = None,
-                     tol: Tolerance | None = None) -> "Subspace":
+    def from_vectors(cls, vectors, tol: Tolerance | None = None) -> "Subspace":
         """Span of the given (not necessarily independent) column vectors."""
-        V = as_matrix(vectors)
-        if dim_ambient is not None and V.shape[0] != dim_ambient:
-            raise DimensionMismatch(f"vectors have length {V.shape[0]}, expected {dim_ambient}")
-        return cls(orthonormal_range(V, tol), V.shape[0])
+        return cls(orthonormal_range(vectors, tol))
 
     @classmethod
     def zero(cls, d: int) -> "Subspace":
-        return cls(np.zeros((d, 0), dtype=complex), d)
+        return cls(np.zeros((d, 0), dtype=complex))
 
     @classmethod
     def full(cls, d: int) -> "Subspace":
-        return cls(np.eye(d, dtype=complex), d)
+        return cls(np.eye(d, dtype=complex))
 
     @classmethod
     def line(cls, vector) -> "Subspace":
@@ -76,11 +71,7 @@ class Subspace:
     def projector(self) -> np.ndarray:
         """The d x d orthogonal projector onto this subspace (cached)."""
         if self._projector is None:
-            d = self.dim_ambient
-            if self.rank == 0:
-                P = np.zeros((d, d), dtype=complex)
-            else:
-                P = self.basis @ self.basis.conj().T
+            P = self.basis @ self.basis.conj().T
             P.setflags(write=False)
             self._projector = P
         return self._projector
@@ -96,20 +87,8 @@ class Subspace:
 
     # -- lattice operations (method forms) ---------------------------------
 
-    def join(self, other: "Subspace", tol: Tolerance | None = None) -> "Subspace":
-        return join(self, other, tol)
-
-    def meet(self, other: "Subspace", tol: Tolerance | None = None) -> "Subspace":
-        return meet(self, other, tol)
-
     def perp(self, tol: Tolerance | None = None) -> "Subspace":
         return orthocomplement(self, tol)
-
-    def leq(self, other: "Subspace", tol: Tolerance | None = None) -> bool:
-        return leq(self, other, tol)
-
-    def commutes(self, other: "Subspace", tol: Tolerance | None = None) -> bool:
-        return commutes(self, other, tol)
 
     def equiv(self, other: "Subspace", tol: Tolerance | None = None) -> bool:
         """Equality as subspaces: mutual containment of projectors."""
@@ -132,8 +111,8 @@ def join_all(subspaces, tol: Tolerance | None = None) -> Subspace:
     """Span of the union, thresholded by the singular values of the stacked
     bases."""
     subspaces = list(subspaces)
-    d = _require_same_ambient(*subspaces)
-    return Subspace(orthonormal_range(np.hstack([H.basis for H in subspaces]), tol), d)
+    _require_same_ambient(*subspaces)
+    return Subspace(orthonormal_range(np.hstack([H.basis for H in subspaces]), tol))
 
 
 def meet(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
@@ -150,12 +129,12 @@ def meet_all(subspaces, tol: Tolerance | None = None) -> Subspace:
     subspaces = list(subspaces)
     d = _require_same_ambient(*subspaces)
     A = sum(H.projector() for H in subspaces) - len(subspaces) * np.eye(d)
-    return Subspace(kernel(A, tol), d)
+    return Subspace(kernel(A, tol))
 
 
 def orthocomplement(H: Subspace, tol: Tolerance | None = None) -> Subspace:
     """All vectors orthogonal to H; the lattice negation."""
-    return Subspace(kernel(H.projector(), tol), H.dim_ambient)
+    return Subspace(kernel(H.projector(), tol))
 
 
 def leq(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> bool:
@@ -193,9 +172,7 @@ def random_subspace(d: int, r: int, rng: Xorshift64Star,
     """
     if not (0 <= r <= d):
         raise ValueError(f"rank {r} out of range for dimension {d}")
-    if r == 0:
-        return Subspace.zero(d)
-    return Subspace(orthonormal_range(rng.complex_gaussian_matrix(d, r), tol), d)
+    return Subspace(orthonormal_range(rng.complex_gaussian_matrix(d, r), tol))
 
 
 def random_nested_pair(d: int, r_small: int, r_big: int, rng: Xorshift64Star,
@@ -213,10 +190,8 @@ def inside(H: Subspace, r: int, rng: Xorshift64Star,
     """Random r-dimensional subspace of H (r <= rank of H)."""
     if not (0 <= r <= H.rank):
         raise ValueError(f"rank {r} does not fit inside rank {H.rank}")
-    if r == 0:
-        return Subspace.zero(H.dim_ambient)
     mix = rng.complex_gaussian_matrix(H.rank, r)
-    return Subspace(orthonormal_range(H.basis @ mix, tol), H.dim_ambient)
+    return Subspace(orthonormal_range(H.basis @ mix, tol))
 
 
 def between(lower: Subspace, upper: Subspace, r: int, rng: Xorshift64Star,
@@ -230,12 +205,8 @@ def between(lower: Subspace, upper: Subspace, r: int, rng: Xorshift64Star,
     _require_same_ambient(lower, upper)
     if not (lower.rank <= r <= upper.rank):
         raise ValueError(f"rank {r} outside [{lower.rank}, {upper.rank}]")
-    d = lower.dim_ambient
     complement = orthonormal_range(
-        (np.eye(d) - lower.projector()) @ upper.basis, tol)
-    extra = r - lower.rank
-    if extra == 0:
-        return Subspace(lower.basis.copy(), d)
-    mix = rng.complex_gaussian_matrix(complement.shape[1], extra)
+        (np.eye(lower.dim_ambient) - lower.projector()) @ upper.basis, tol)
+    mix = rng.complex_gaussian_matrix(complement.shape[1], r - lower.rank)
     ext = orthonormal_range(complement @ mix, tol)
-    return Subspace(np.hstack([lower.basis, ext]), d)
+    return Subspace(np.hstack([lower.basis, ext]))

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, TooManyArguments
-from .lattice import Subspace, join, meet, orthocomplement
+from .errors import TooManyArguments
+from .lattice import Subspace, _require_same_ambient, join, meet, orthocomplement
 from .numerics import frobenius
 from .tolerances import Tolerance, default_tolerance
 
@@ -53,9 +53,8 @@ def _validated(subspaces) -> tuple[Subspace, ...]:
         raise ValueError("need at least two subspaces")
     if len(subs) > MAX_ARGUMENTS:
         raise TooManyArguments(f"{len(subs)} arguments; subset enumeration is 2^n")
-    dims = {H.dim_ambient for H in subs}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"mixed ambient dimensions {sorted(dims)}")
+    # absorption can skip the combine that would otherwise raise
+    _require_same_ambient(*subs)
     return subs
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, PreconditionViolated
+from .errors import PreconditionViolated
 from .lattice import Subspace, between, join, leq, meet
 from .mobius import MobiusOperator, mobius
 from .numerics import frobenius, hermitian_eig, rank_cutoff
@@ -35,8 +35,6 @@ class Interval:
     upper: Subspace
 
     def __post_init__(self):
-        if self.lower.dim_ambient != self.upper.dim_ambient:
-            raise DimensionMismatch("interval endpoints in different dimensions")
         if not leq(self.lower, self.upper):
             raise PreconditionViolated("interval endpoints not nested")
 
@@ -51,8 +49,6 @@ def is_lower_transpose(A: Interval, B: Interval, tol: Tolerance | None = None) -
     as subspace identities.  Reflexive, antisymmetric and transitive.
     """
     tol = tol or default_tolerance()
-    if A.lower.dim_ambient != B.lower.dim_ambient:
-        raise DimensionMismatch("intervals in different dimensions")
     return (B.upper.equiv(join(A.upper, B.lower, tol), tol)
             and A.lower.equiv(meet(A.upper, B.lower, tol), tol))
 

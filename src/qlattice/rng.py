@@ -38,7 +38,6 @@ class Xorshift64Star:
     def __init__(self, seed: int):
         # a zero state would be a fixed point; scramble every seed once
         self._state = splitmix64(seed & _MASK) or 0x9E3779B97F4A7C15
-        self._seed0 = self._state
         self._spare_gauss: float | None = None
 
     def next_u64(self) -> int:
@@ -79,11 +78,3 @@ class Xorshift64Star:
             for j in range(cols):
                 out[i, j] = complex(self.gaussian(), self.gaussian())
         return out
-
-    def substream(self, *indices: int) -> "Xorshift64Star":
-        """Independent generator derived from this one's seed and indices.
-
-        Depends only on the construction seed, not on how many draws have
-        been made, so substreams are stable identifiers.
-        """
-        return Xorshift64Star(mix_stream(self._seed0, *indices))

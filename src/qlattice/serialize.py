@@ -13,7 +13,6 @@ import json
 
 import numpy as np
 
-from .classical import FiniteMeasure, MassFunction
 from .errors import ParseError
 from .lattice import Subspace
 from .numerics import as_matrix
@@ -73,7 +72,7 @@ def subspace_from_json(obj, tol: Tolerance | None = None) -> Subspace:
     if not vectors:
         return Subspace.zero(d)
     V = np.array([_complex_entries(vec, d, "vector") for vec in vectors], dtype=complex).T
-    return Subspace.from_vectors(V, d, tol)
+    return Subspace.from_vectors(V, tol)
 
 
 def vector_from_json(obj) -> np.ndarray:
@@ -83,31 +82,9 @@ def vector_from_json(obj) -> np.ndarray:
     return M.reshape(-1)
 
 
-def measure_from_json(obj) -> FiniteMeasure:
-    try:
-        masses = [float(x) for x in obj["point_masses"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad measure object: {exc}") from exc
-    return FiniteMeasure(tuple(masses))
-
-
-def mass_function_from_json(obj) -> MassFunction:
-    try:
-        n = int(obj["omega_size"])
-        raw = obj["masses"]
-        masses = tuple(sorted((int(k), float(v)) for k, v in raw.items()))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"bad mass-function object: {exc}") from exc
-    return MassFunction(n, masses)
-
-
 def report_record(name: str, residual: float, tolerance: float) -> dict:
     return {"name": name, "residual": residual, "tolerance": tolerance,
             "pass": bool(residual <= tolerance)}
-
-
-def moment_report(operator: str, mean: float, stddev: float) -> dict:
-    return {"operator": operator, "mean": mean, "stddev": stddev}
 
 
 def load_json(path: str):

@@ -205,7 +205,7 @@ def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
 
       endpoint   P(H3') - P(H3) - P(H1') + P(H1) = D(H1',H2) - D(H2,H3')
       member     P(h') - P(H3) - P(h) + P(H1) = D(h,H2) - D(H2,h')
-      roundtrip  (h' v H2) ^ H1' recovers h
+      roundtrip  (h' v H2) ^ H1' recovers h  (projective_roundtrip_residuals)
     """
     H2p = join(H1p, H2, tol)
     H1 = meet(H1p, H2, tol)
@@ -221,9 +221,17 @@ def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
     rhs = mobius([H1p, H2], tol).matrix - mobius([H2, H3p], tol).matrix
     lhs2 = hp.projector() - H3.projector() - h.projector() + H1.projector()
     rhs2 = mobius([h, H2], tol).matrix - mobius([H2, hp], tol).matrix
-    back = meet(join(hp, H2, tol), H1p, tol)
     return {"endpoint": frobenius(lhs - rhs), "member": frobenius(lhs2 - rhs2),
-            "roundtrip": frobenius(back.projector() - h.projector())}
+            **projective_roundtrip_residuals(H1p, H2, H3p, h, tol)}
+
+
+def projective_roundtrip_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
+                                   tol: Tolerance | None = None) -> dict[str, float]:
+    """roundtrip: (h' v H2) ^ H1' recovers h, where h' = (h v H2) ^ H3' and
+    the inputs satisfy p3_residuals' preconditions; zero by modularity."""
+    hp = meet(join(h, H2, tol), H3p, tol)
+    back = meet(join(hp, H2, tol), H1p, tol)
+    return {"roundtrip": frobenius(back.projector() - h.projector())}
 
 
 def transpose_roundtrip_residuals(h: Subspace, H1: Subspace, H2: Subspace,
@@ -313,7 +321,8 @@ def check_transpose_roundtrip(d, rng, tol):
     H1, H2 = _generic(rng, d, tol), _generic(rng, d, tol)
     out = transpose_roundtrip_residuals(
         random_sandwiched_member(H1, H2, rng, tol), H1, H2, tol)
-    out["projective_roundtrip"] = p3_residuals(*_projective(d, rng, tol), tol=tol)["roundtrip"]
+    out["projective_roundtrip"] = projective_roundtrip_residuals(
+        *_projective(d, rng, tol), tol)["roundtrip"]
     return out
 
 

@@ -52,12 +52,6 @@ def test_generator_algebra():
                          - ZA @ XB * fam.omega(-fam.half * a * b)) <= 1e-10
 
 
-def test_fourier_is_unitary():
-    fam = family(5)
-    F = fam.fourier
-    assert frobenius(F @ F.conj().T - np.eye(5)) <= 1e-10
-
-
 def test_displacement_unitary_and_identity_at_origin():
     fam = family(5)
     assert frobenius(fam.displacement(0, 0) - np.eye(5)) <= 1e-12

@@ -7,6 +7,7 @@ from qlattice.lattice import (Subspace, between, commutes, inside, join,
                               join_all, leq, meet, meet_all, orthocomplement,
                               random_nested_pair, random_subspace)
 from qlattice.numerics import frobenius
+from qlattice.rng import Xorshift64Star
 
 
 def axis(d, i):
@@ -172,3 +173,23 @@ def test_inside_and_between_are_exact(rng):
     mid = between(small, big, 3, rng)
     assert leq(small, mid) and leq(mid, big)
     assert mid.rank == 3
+
+
+def test_zero_rank_draws_consume_nothing(rng):
+    """Rank-0 requests return the zero space (between: the lower basis
+    itself) and leave the generator where a twin that never drew is."""
+    lower, upper = random_nested_pair(5, 2, 4, rng)
+    calls = [(lambda g: random_subspace(5, 0, g), np.zeros((5, 0))),
+             (lambda g: inside(upper, 0, g), np.zeros((5, 0))),
+             (lambda g: between(lower, upper, lower.rank, g), lower.basis)]
+    for call, basis in calls:
+        gen, twin = Xorshift64Star(7), Xorshift64Star(7)
+        H = call(gen)
+        assert np.array_equal(H.basis, basis)
+        assert np.array_equal(gen.complex_gaussian_matrix(2, 2),
+                              twin.complex_gaussian_matrix(2, 2))
+
+
+def test_zero_projector_is_exactly_zero():
+    P = Subspace.zero(4).projector()
+    assert P.shape == (4, 4) and not P.any()

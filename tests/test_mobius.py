@@ -231,6 +231,15 @@ def test_argument_validation(rng):
     H4 = random_subspace(4, 1, rng)
     with pytest.raises(DimensionMismatch):
         mobius([H3, H4])
+    # absorbing members: the full (zero) space makes the join (meet) table
+    # skip combining with the H(4) line, and in the last case the final meet
+    # chain stops at zero before reaching it
+    line3 = random_subspace(3, 1, rng)
+    for subs in ([Subspace.full(3), H4], [Subspace.zero(3), H4],
+                 [H3, line3, Subspace.full(4)]):
+        for operator in (mobius, mobius_dual):
+            with pytest.raises(DimensionMismatch):
+                operator(subs)
     with pytest.raises(ValueError):
         mobius([H3])
     with pytest.raises(TooManyArguments):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qlattice.errors import PreconditionViolated
+from qlattice.errors import DimensionMismatch, PreconditionViolated
 from qlattice.golden import worked_example
 from qlattice.lattice import (Subspace, join, meet, random_subspace)
 from qlattice.mobius import mobius
@@ -24,6 +24,14 @@ def test_interval_requires_nesting(rng):
     H1, H2 = generic_pair(rng)
     with pytest.raises(PreconditionViolated):
         Interval(H1, meet(H1, H2))  # generic meet is strictly smaller
+
+
+def test_mixed_dimensions_raise(rng):
+    H3, H4 = Subspace.full(3), Subspace.full(4)
+    with pytest.raises(DimensionMismatch):
+        Interval(Subspace.zero(3), H4)
+    with pytest.raises(DimensionMismatch):
+        is_lower_transpose(Interval(Subspace.zero(3), H3), Interval(Subspace.zero(4), H4))
 
 
 def test_lower_transpose_reflexive(rng):

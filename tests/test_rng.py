@@ -33,16 +33,6 @@ def test_gaussian_moments():
     assert abs(var - 1.0) < 0.05
 
 
-def test_substreams_differ_and_are_stable():
-    base = Xorshift64Star(5)
-    s1 = base.substream(0).next_u64()
-    s2 = base.substream(1).next_u64()
-    assert s1 != s2
-    # substreams ignore how many draws the parent has made
-    base.next_u64()
-    assert base.substream(0).next_u64() == s1
-
-
 def test_mix_stream_spreads_indices():
     outs = {mix_stream(42, i, j) for i in range(8) for j in range(8)}
     assert len(outs) == 64

@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-from qlattice.classical import FiniteMeasure, MassFunction
 from qlattice.errors import ParseError
 from qlattice.lattice import random_subspace
-from qlattice.serialize import (dump_json, load_json, mass_function_from_json,
-                                matrix_from_json, matrix_to_json,
-                                measure_from_json, moment_report,
-                                report_record, subspace_from_json,
-                                subspace_to_json, vector_from_json)
+from qlattice.serialize import (dump_json, load_json, matrix_from_json,
+                                matrix_to_json, report_record,
+                                subspace_from_json, subspace_to_json,
+                                vector_from_json)
 
 
 def test_matrix_roundtrip(rng):
@@ -55,19 +53,9 @@ def test_vector_requires_single_column():
         vector_from_json(matrix_to_json(np.eye(2)))
 
 
-def test_measure_and_mass_roundtrip():
-    m = measure_from_json({"point_masses": [0.25, 0.75]})
-    assert isinstance(m, FiniteMeasure)
-    mf = mass_function_from_json({"omega_size": 2, "masses": {"1": 0.5, "3": 0.5}})
-    assert isinstance(mf, MassFunction)
-    assert mf.belief(0b01) == 0.5
-
-
 def test_report_records():
     rec = report_record("e3", 1e-12, 1e-9)
     assert rec["pass"] is True
-    rep = moment_report("D(1,2)", -0.701, 0.651)
-    assert set(rep) == {"operator", "mean", "stddev"}
 
 
 def test_load_json_parse_error(tmp_path):
