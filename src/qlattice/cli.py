@@ -8,7 +8,8 @@ Subcommands:
   mobius     non-additivity operator of user-supplied subspace files
 
 Human tables print three decimals; JSON dumps keep full precision.  The
-environment variable QLATTICE_EPS overrides the identity tolerance.
+environment variable QLATTICE_EPS overrides the identity tolerance; each
+subcommand reads it once and passes it to every library call.
 """
 
 from __future__ import annotations

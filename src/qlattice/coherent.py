@@ -19,7 +19,7 @@ from .lattice import Subspace
 from .mobius import mobius
 from .numerics import frobenius
 from .observables import DensityMatrix
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 def generic_fiducial(d: int) -> np.ndarray:
@@ -128,7 +128,7 @@ class CoherentAggregate:
 
     @classmethod
     def from_labels(cls, family: CoherentFamily, labels,
-                    tol: Tolerance | None = None) -> "CoherentAggregate":
+                    tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         labels = list(labels)
         agg = cls.start(family, labels[0])
         for label in labels[1:]:
@@ -139,14 +139,13 @@ class CoherentAggregate:
     def size(self) -> int:
         return len(self.labels)
 
-    def extend(self, label, tol: Tolerance | None = None) -> "CoherentAggregate":
+    def extend(self, label, tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         """New aggregate including one more coherent state.
 
         The increment is the normalized compression of the new state's
         projector to the orthocomplement of the current span; its trace
         normalizer vanishes exactly when the new state is dependent.
         """
-        tol = tol or default_tolerance()
         d = self.family.d
         a, b = label[0] % d, label[1] % d
         if (a, b) in self.labels:
@@ -164,7 +163,7 @@ class CoherentAggregate:
             self.family, self.labels + ((a, b),),
             self.projector + increment, self.increments + (increment,))
 
-    def shifted(self, k: int, l: int, tol: Tolerance | None = None) -> "CoherentAggregate":
+    def shifted(self, k: int, l: int, tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         """The aggregate rebuilt from labels translated by (k, l)."""
         moved = [((a + k) % self.family.d, (b + l) % self.family.d)
                  for a, b in self.labels]
@@ -175,14 +174,13 @@ class CoherentAggregate:
 
 
 def pair_projector_residual(family: CoherentFamily, l1, l2,
-                            tol: Tolerance | None = None) -> float:
+                            tol: Tolerance = DEFAULT) -> float:
     """Residual of the closed-form rank-2 projector for two coherent states:
 
       tau [P1 + P2 - P1 P2 - P2 P1],  tau = (1 - |overlap|^2)^{-1}
 
     against the Gram-Schmidt aggregate of the same two states.
     """
-    tol = tol or default_tolerance()
     P1 = family.state_projector(*l1)
     P2 = family.state_projector(*l2)
     lam = family.overlap(*l1, *l2)
@@ -193,13 +191,12 @@ def pair_projector_residual(family: CoherentFamily, l1, l2,
 
 
 def displacement_covariance_residuals(agg: CoherentAggregate, k: int, l: int,
-                                      tol: Tolerance | None = None) -> dict[str, float]:
+                                      tol: Tolerance = DEFAULT) -> dict[str, float]:
     """How well conjugation by D(k, l) matches rebuilding at shifted labels.
 
     Checks the full projector, every Gram-Schmidt increment, and the
     non-additivity operator over the label lines.
     """
-    tol = tol or default_tolerance()
     fam = agg.family
     D = fam.displacement(k, l)
     Ddag = D.conj().T
@@ -216,7 +213,7 @@ def displacement_covariance_residuals(agg: CoherentAggregate, k: int, l: int,
     return out
 
 
-def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance | None = None,
+def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance = DEFAULT,
                          theta: np.ndarray | None = None) -> dict[str, float]:
     """Residuals of the phase-space resolutions over all d^2 translates.
 
@@ -230,7 +227,6 @@ def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance | None =
     trace_relation: (1/d) sum D Theta D-dagger = Tr(Theta) 1 for a generic
         Theta (the engine behind all three resolutions)
     """
-    tol = tol or default_tolerance()
     d = family.d
     labels = [tuple(x % d for x in lb) for lb in labels]
     i = len(labels)

@@ -12,19 +12,17 @@ dimensions raise DimensionMismatch from the first join or meet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .lattice import Subspace, join, meet, orthocomplement
 from .numerics import frobenius
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 @dataclass(frozen=True)
 class DeviationProjector:
     matrix: np.ndarray
-    kind: Literal["varpi1", "varpi2", "pi"]
     arguments: tuple[Subspace, ...]
 
     def __post_init__(self):
@@ -32,7 +30,7 @@ class DeviationProjector:
 
 
 def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
-           tol: Tolerance | None = None) -> DeviationProjector:
+           tol: Tolerance = DEFAULT) -> DeviationProjector:
     """First distributivity defect:
     P[(H1 v H0) ^ (H2 v H0)] - P[(H1 ^ H2) v H0].
 
@@ -40,43 +38,40 @@ def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
     the difference is a projector; it vanishes iff equality holds.
     Symmetric under swapping H1 and H2.
     """
-    tol = tol or default_tolerance()
     upper = meet(join(H1, H0, tol), join(H2, H0, tol), tol)
     lower = join(meet(H1, H2, tol), H0, tol)
     M = upper.projector() - lower.projector()
-    return DeviationProjector((M + M.conj().T) / 2.0, "varpi1", (H1, H2, H0))
+    return DeviationProjector((M + M.conj().T) / 2.0, (H1, H2, H0))
 
 
 def varpi2(H1: Subspace, H2: Subspace, H0: Subspace,
-           tol: Tolerance | None = None) -> DeviationProjector:
+           tol: Tolerance = DEFAULT) -> DeviationProjector:
     """Second distributivity defect:
     P[(H1 v H2) ^ H0] - P[(H1 ^ H0) v (H2 ^ H0)].
     """
-    tol = tol or default_tolerance()
     upper = meet(join(H1, H2, tol), H0, tol)
     lower = join(meet(H1, H0, tol), meet(H2, H0, tol), tol)
     M = upper.projector() - lower.projector()
-    return DeviationProjector((M + M.conj().T) / 2.0, "varpi2", (H1, H2, H0))
+    return DeviationProjector((M + M.conj().T) / 2.0, (H1, H2, H0))
 
 
 def pi_deviation(H0: Subspace, H1: Subspace,
-                 tol: Tolerance | None = None) -> DeviationProjector:
+                 tol: Tolerance = DEFAULT) -> DeviationProjector:
     """Total-probability deviation:
     P(H0) - P(H1 ^ H0) - P(H1-perp ^ H0).
 
     Zero exactly when H1 and H0 commute, i.e. when conditioning H0 on the
     binary alternative (H1, H1-perp) loses nothing.
     """
-    tol = tol or default_tolerance()
     H1p = orthocomplement(H1, tol)
     M = (H0.projector()
          - meet(H1, H0, tol).projector()
          - meet(H1p, H0, tol).projector())
-    return DeviationProjector((M + M.conj().T) / 2.0, "pi", (H0, H1))
+    return DeviationProjector((M + M.conj().T) / 2.0, (H0, H1))
 
 
 def binary_defect_residuals(H1: Subspace, H0: Subspace,
-                            tol: Tolerance | None = None) -> dict[str, float]:
+                            tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Specialized identities for the pair (H1, H1-perp | H0).
 
     nesting_low / nesting_up: the two containments
@@ -84,7 +79,6 @@ def binary_defect_residuals(H1: Subspace, H0: Subspace,
     varpi1_reduced: varpi1(H1, H1p | H0) = P[(H1vH0)^(H1pvH0)] - P(H0)
     varpi2_reduced: varpi2(H1, H1p | H0) = P(H0) - P[(H1^H0)v(H1p^H0)]
     """
-    tol = tol or default_tolerance()
     H1p = orthocomplement(H1, tol)
     P0 = H0.projector()
     low = join(meet(H1, H0, tol), meet(H1p, H0, tol), tol).projector()

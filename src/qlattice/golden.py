@@ -31,7 +31,7 @@ from .distributivity import pi_deviation, varpi1, varpi2
 from .lattice import Subspace
 from .mobius import mobius, mobius_dual
 from .observables import DensityMatrix, expectation, stddev
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 GOLDEN_TOL = 5e-3
 
@@ -89,7 +89,7 @@ class GoldenResult:
         return self.deviation <= self.record.tolerance
 
 
-def worked_example(tol: Tolerance | None = None):
+def worked_example():
     """Subspaces H1, H2, H3 of the example and the all-ones density matrix."""
     v1 = np.array([0.3, 0.3, 0.905])
     v2 = np.array([0.4, 0.5, 0.768])
@@ -120,10 +120,9 @@ def golden_records() -> list[GoldenRecord]:
     return recs
 
 
-def compute_example_values(tol: Tolerance | None = None) -> dict[str, object]:
+def compute_example_values(tol: Tolerance = DEFAULT) -> dict[str, object]:
     """Every quantity the golden records refer to, from the live code paths."""
-    tol = tol or default_tolerance()
-    H1, H2, H3, rho = worked_example(tol)
+    H1, H2, H3, rho = worked_example()
     D12 = mobius([H1, H2], tol).matrix
     D13 = mobius([H1, H3], tol).matrix
     D23 = mobius([H2, H3], tol).matrix
@@ -147,7 +146,7 @@ def compute_example_values(tol: Tolerance | None = None) -> dict[str, object]:
     }
 
 
-def evaluate_goldens(tol: Tolerance | None = None) -> list[GoldenResult]:
+def evaluate_goldens(tol: Tolerance = DEFAULT) -> list[GoldenResult]:
     values = compute_example_values(tol)
     results = []
     for rec in golden_records():

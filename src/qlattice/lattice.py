@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DimensionMismatch, InternalInconsistency
 from .numerics import as_matrix, frobenius, kernel, orthonormal_range
 from .rng import Xorshift64Star
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 class Subspace:
@@ -44,7 +44,7 @@ class Subspace:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_vectors(cls, vectors, tol: Tolerance | None = None) -> "Subspace":
+    def from_vectors(cls, vectors, tol: Tolerance = DEFAULT) -> "Subspace":
         """Span of the given (not necessarily independent) column vectors."""
         return cls(orthonormal_range(vectors, tol))
 
@@ -87,10 +87,10 @@ class Subspace:
 
     # -- lattice operations (method forms) ---------------------------------
 
-    def perp(self, tol: Tolerance | None = None) -> "Subspace":
+    def perp(self, tol: Tolerance = DEFAULT) -> "Subspace":
         return orthocomplement(self, tol)
 
-    def equiv(self, other: "Subspace", tol: Tolerance | None = None) -> bool:
+    def equiv(self, other: "Subspace", tol: Tolerance = DEFAULT) -> bool:
         """Equality as subspaces: mutual containment of projectors."""
         return leq(self, other, tol) and leq(other, self, tol)
 
@@ -102,12 +102,12 @@ def _require_same_ambient(*subspaces: Subspace) -> int:
     return dims.pop()
 
 
-def join(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
+def join(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
     """Smallest subspace containing both: the span of the union."""
     return join_all((H1, H2), tol)
 
 
-def join_all(subspaces, tol: Tolerance | None = None) -> Subspace:
+def join_all(subspaces, tol: Tolerance = DEFAULT) -> Subspace:
     """Span of the union, thresholded by the singular values of the stacked
     bases."""
     subspaces = list(subspaces)
@@ -115,7 +115,7 @@ def join_all(subspaces, tol: Tolerance | None = None) -> Subspace:
     return Subspace(orthonormal_range(np.hstack([H.basis for H in subspaces]), tol))
 
 
-def meet(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
+def meet(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
     """Intersection, computed as the eigenvalue-2 eigenspace of P1 + P2.
 
     Equivalently the kernel of P1 + P2 - 2I; symmetric in the arguments and
@@ -124,7 +124,7 @@ def meet(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Subspace:
     return meet_all((H1, H2), tol)
 
 
-def meet_all(subspaces, tol: Tolerance | None = None) -> Subspace:
+def meet_all(subspaces, tol: Tolerance = DEFAULT) -> Subspace:
     """Common intersection: kernel of sum(P_i) - n I (eigenvalue-n space)."""
     subspaces = list(subspaces)
     d = _require_same_ambient(*subspaces)
@@ -132,26 +132,24 @@ def meet_all(subspaces, tol: Tolerance | None = None) -> Subspace:
     return Subspace(kernel(A, tol))
 
 
-def orthocomplement(H: Subspace, tol: Tolerance | None = None) -> Subspace:
+def orthocomplement(H: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
     """All vectors orthogonal to H; the lattice negation."""
     return Subspace(kernel(H.projector(), tol))
 
 
-def leq(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> bool:
+def leq(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> bool:
     """Partial order: H1 contained in H2, tested as ||P2 P1 - P1|| small."""
-    tol = tol or default_tolerance()
     _require_same_ambient(H1, H2)
     P1, P2 = H1.projector(), H2.projector()
     return frobenius(P2 @ P1 - P1) <= tol.identity_eps
 
 
-def commutes(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> bool:
+def commutes(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> bool:
     """Lattice-theoretic commutation of two subspaces.
 
     Tests both equivalent criteria: vanishing projector commutator, and
     H1 = (H1 meet H2) join (H1 meet H2-perp).  They must agree.
     """
-    tol = tol or default_tolerance()
     _require_same_ambient(H1, H2)
     P1, P2 = H1.projector(), H2.projector()
     by_commutator = frobenius(P1 @ P2 - P2 @ P1) <= tol.identity_eps
@@ -164,7 +162,7 @@ def commutes(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> bool:
 
 
 def random_subspace(d: int, r: int, rng: Xorshift64Star,
-                    tol: Tolerance | None = None) -> Subspace:
+                    tol: Tolerance = DEFAULT) -> Subspace:
     """Haar-like random r-dimensional subspace of H(d).
 
     Columns of a standard complex Gaussian matrix are orthonormalized; the
@@ -176,7 +174,7 @@ def random_subspace(d: int, r: int, rng: Xorshift64Star,
 
 
 def random_nested_pair(d: int, r_small: int, r_big: int, rng: Xorshift64Star,
-                       tol: Tolerance | None = None) -> tuple[Subspace, Subspace]:
+                       tol: Tolerance = DEFAULT) -> tuple[Subspace, Subspace]:
     """Random pair H_small <= H_big with the given ranks, nested by construction."""
     if not (0 <= r_small <= r_big <= d):
         raise ValueError(f"bad ranks {r_small}, {r_big} for dimension {d}")
@@ -186,7 +184,7 @@ def random_nested_pair(d: int, r_small: int, r_big: int, rng: Xorshift64Star,
 
 
 def inside(H: Subspace, r: int, rng: Xorshift64Star,
-           tol: Tolerance | None = None) -> Subspace:
+           tol: Tolerance = DEFAULT) -> Subspace:
     """Random r-dimensional subspace of H (r <= rank of H)."""
     if not (0 <= r <= H.rank):
         raise ValueError(f"rank {r} does not fit inside rank {H.rank}")
@@ -195,13 +193,12 @@ def inside(H: Subspace, r: int, rng: Xorshift64Star,
 
 
 def between(lower: Subspace, upper: Subspace, r: int, rng: Xorshift64Star,
-            tol: Tolerance | None = None) -> Subspace:
+            tol: Tolerance = DEFAULT) -> Subspace:
     """Random subspace h with lower <= h <= upper and rank r.
 
     Built by extending the lower basis with a random slice of the part of
     upper orthogonal to lower, so both containments hold exactly.
     """
-    tol = tol or default_tolerance()
     _require_same_ambient(lower, upper)
     if not (lower.rank <= r <= upper.rank):
         raise ValueError(f"rank {r} outside [{lower.rank}, {upper.rank}]")

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import TooManyArguments
 from .lattice import Subspace, _require_same_ambient, join, meet, orthocomplement
 from .numerics import frobenius
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 MAX_ARGUMENTS = 20
 
@@ -39,7 +39,6 @@ class MobiusOperator:
 
     matrix: np.ndarray
     arguments: tuple[Subspace, ...]
-    dual_flag: bool = False
     trace: float = field(init=False)
 
     def __post_init__(self):
@@ -108,30 +107,27 @@ def _alternating_sum(subs, combine, absorbing, final_combine, final_absorbing,
     return M
 
 
-def mobius(subspaces, tol: Tolerance | None = None) -> MobiusOperator:
+def mobius(subspaces, tol: Tolerance = DEFAULT) -> MobiusOperator:
     """Non-additivity operator: joins over subsets, meet term at the end.
 
     For two arguments this is
     P(H1 v H2) + P(H1 ^ H2) - P(H1) - P(H2).
     """
     subs = _validated(subspaces)
-    tol = tol or default_tolerance()
     M = _alternating_sum(subs, join, Subspace.is_full, meet, Subspace.is_zero, tol)
-    return MobiusOperator((M + M.conj().T) / 2.0, subs, dual_flag=False)
+    return MobiusOperator((M + M.conj().T) / 2.0, subs)
 
 
-def mobius_dual(subspaces, tol: Tolerance | None = None) -> MobiusOperator:
+def mobius_dual(subspaces, tol: Tolerance = DEFAULT) -> MobiusOperator:
     """Dual operator: meets over subsets, join term at the end."""
     subs = _validated(subspaces)
-    tol = tol or default_tolerance()
     M = _alternating_sum(subs, meet, Subspace.is_zero, join, Subspace.is_full, tol)
-    return MobiusOperator((M + M.conj().T) / 2.0, subs, dual_flag=True)
+    return MobiusOperator((M + M.conj().T) / 2.0, subs)
 
 
 def perp_negation_residual(H1: Subspace, H2: Subspace,
-                           tol: Tolerance | None = None) -> float:
+                           tol: Tolerance = DEFAULT) -> float:
     """Residual of D(H1-perp, H2-perp) = -D(H1, H2)."""
-    tol = tol or default_tolerance()
     D = mobius([H1, H2], tol).matrix
     Dp = mobius([orthocomplement(H1, tol), orthocomplement(H2, tol)], tol).matrix
     return frobenius(Dp + D)

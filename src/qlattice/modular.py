@@ -12,7 +12,7 @@ qlattice.sweeps; the interval lemmas checked only by the unit tests stay here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .lattice import Subspace, between, join, leq, meet
 from .mobius import MobiusOperator, mobius
 from .numerics import frobenius, hermitian_eig, rank_cutoff
 from .rng import Xorshift64Star
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 # |sum of the eigenvalues of D(H1,H2)| allowed by spectral constraint P1
 P1_SUM_EPS = 1e-8
@@ -29,64 +29,60 @@ P1_SUM_EPS = 1e-8
 
 @dataclass(frozen=True)
 class Interval:
-    """Interval sublattice [lower, upper]; requires lower <= upper."""
+    """Interval sublattice [lower, upper]; requires lower <= upper at tol."""
 
     lower: Subspace
     upper: Subspace
+    tol: InitVar[Tolerance] = DEFAULT  # for the nesting check only; not kept
 
-    def __post_init__(self):
-        if not leq(self.lower, self.upper):
+    def __post_init__(self, tol):
+        if not leq(self.lower, self.upper, tol):
             raise PreconditionViolated("interval endpoints not nested")
 
-    def contains(self, h: Subspace, tol: Tolerance | None = None) -> bool:
+    def contains(self, h: Subspace, tol: Tolerance = DEFAULT) -> bool:
         return leq(self.lower, h, tol) and leq(h, self.upper, tol)
 
 
-def is_lower_transpose(A: Interval, B: Interval, tol: Tolerance | None = None) -> bool:
+def is_lower_transpose(A: Interval, B: Interval, tol: Tolerance = DEFAULT) -> bool:
     """True when A is the lower transpose of B.
 
     Requires B.upper = A.upper v B.lower and A.lower = A.upper ^ B.lower,
     as subspace identities.  Reflexive, antisymmetric and transitive.
     """
-    tol = tol or default_tolerance()
     return (B.upper.equiv(join(A.upper, B.lower, tol), tol)
             and A.lower.equiv(meet(A.upper, B.lower, tol), tol))
 
 
 def transpose_pair(H1: Subspace, H2: Subspace,
-                   tol: Tolerance | None = None) -> tuple[Interval, Interval]:
+                   tol: Tolerance = DEFAULT) -> tuple[Interval, Interval]:
     """The canonical transpose pair ([H1^H2, H1], [H2, H1vH2])."""
-    tol = tol or default_tolerance()
-    A = Interval(meet(H1, H2, tol), H1)
-    B = Interval(H2, join(H1, H2, tol))
+    A = Interval(meet(H1, H2, tol), H1, tol)
+    B = Interval(H2, join(H1, H2, tol), tol)
     return A, B
 
 
 def transpose_up(h: Subspace, H1: Subspace, H2: Subspace,
-                 tol: Tolerance | None = None) -> Subspace:
+                 tol: Tolerance = DEFAULT) -> Subspace:
     """Forward bijection [H1^H2, H1] -> [H2, H1vH2]: h maps to h v H2."""
-    tol = tol or default_tolerance()
     if not (leq(meet(H1, H2, tol), h, tol) and leq(h, H1, tol)):
         raise PreconditionViolated("h is not inside [H1^H2, H1]")
     return join(h, H2, tol)
 
 
 def transpose_down(hp: Subspace, H1: Subspace, H2: Subspace,
-                   tol: Tolerance | None = None) -> Subspace:
+                   tol: Tolerance = DEFAULT) -> Subspace:
     """Inverse bijection [H2, H1vH2] -> [H1^H2, H1]: h' maps to h' ^ H1."""
-    tol = tol or default_tolerance()
     if not (leq(H2, hp, tol) and leq(hp, join(H1, H2, tol), tol)):
         raise PreconditionViolated("h' is not inside [H2, H1vH2]")
     return meet(hp, H1, tol)
 
 
 def sandwich_residual(first: Interval, middle: Interval, last: Interval,
-                      tol: Tolerance | None = None) -> float:
+                      tol: Tolerance = DEFAULT) -> float:
     """For a transpose chain first <=tr middle <=tr last, the middle's lower
     endpoint is recovered as (middle.lower v first.upper) ^ last.lower;
     returns the Frobenius defect of that recovery.
     """
-    tol = tol or default_tolerance()
     if not is_lower_transpose(first, middle, tol):
         raise PreconditionViolated("first is not a lower transpose of middle")
     if not is_lower_transpose(middle, last, tol):
@@ -96,13 +92,12 @@ def sandwich_residual(first: Interval, middle: Interval, last: Interval,
 
 
 def membership_residuals(h: Subspace, H1: Subspace, H2: Subspace,
-                         tol: Tolerance | None = None) -> dict[str, float]:
+                         tol: Tolerance = DEFAULT) -> dict[str, float]:
     """The three conditions placing [h, h v H2] between the canonical
     transpose pair of (H1, H2), for h in [H1^H2, H1]:
 
       H2 ^ h = H1 ^ H2;  H1 ^ (h v H2) = h;  H1 v (h v H2) = H1 v H2.
     """
-    tol = tol or default_tolerance()
     hv = join(h, H2, tol)
     return {
         "meet_floor": frobenius(meet(H2, h, tol).projector()
@@ -118,17 +113,16 @@ def proj_map(interval: Interval) -> np.ndarray:
     return interval.upper.projector() - interval.lower.projector()
 
 
-def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> MobiusOperator:
+def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> MobiusOperator:
     """Attach the non-additivity operator to the transpose pair of (H1, H2):
     proj_map([H2, H1vH2]) - proj_map([H1^H2, H1]).
 
     Equals mobius([H1, H2]) and is symmetric in its arguments; computed here
     through the interval route as an independent code path.
     """
-    tol = tol or default_tolerance()
     A, B = transpose_pair(H1, H2, tol)
     M = proj_map(B) - proj_map(A)
-    return MobiusOperator((M + M.conj().T) / 2.0, (H1, H2), dual_flag=False)
+    return MobiusOperator((M + M.conj().T) / 2.0, (H1, H2))
 
 
 @dataclass(frozen=True)
@@ -149,11 +143,10 @@ class SpectralReport:
         return self.zero_count >= self.required_zero_count
 
 
-def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> SpectralReport:
+def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> SpectralReport:
     """Spectral constraints on D(H1,H2): real spectrum summing to zero, with
     at least d - dim(H1 v H2) vanishing eigenvalues, |w| <= rank_cutoff(D)
     (everything orthogonal to the join is annihilated)."""
-    tol = tol or default_tolerance()
     D = mobius([H1, H2], tol).matrix
     w, _ = hermitian_eig(D)
     d = H1.dim_ambient
@@ -167,11 +160,10 @@ def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance | None = None) -> Spe
 
 
 def random_sandwiched_member(H1: Subspace, H2: Subspace, rng: Xorshift64Star,
-                             tol: Tolerance | None = None) -> Subspace:
+                             tol: Tolerance = DEFAULT) -> Subspace:
     """Random h in [H1 ^ H2, H1], built by explicit basis extension so the
     containments hold exactly (rejection sampling would almost never land on
     exact lattice relations in floating point)."""
-    tol = tol or default_tolerance()
     lower = meet(H1, H2, tol)
     r = lower.rank + rng.integer(0, H1.rank - lower.rank + 1)
     return between(lower, H1, r, rng, tol)

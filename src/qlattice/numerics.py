@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidMatrix, NonHermitianInput
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 HERMITICITY_RTOL = 1e-8
 
@@ -69,14 +69,13 @@ def rank_cutoff(M: np.ndarray, tol: Tolerance) -> float:
     return tol.rank_eps * max(1.0, frobenius(M))
 
 
-def orthonormal_range(A, tol: Tolerance | None = None) -> np.ndarray:
+def orthonormal_range(A, tol: Tolerance = DEFAULT) -> np.ndarray:
     """Orthonormal basis of the column space of A.
 
     The left singular vectors whose singular value exceeds rank_cutoff, so
     the column count is the numerical rank.  A zero (or empty) matrix yields
     a 0-column result.
     """
-    tol = tol or default_tolerance()
     M = as_matrix(A)
     if M.shape[1] == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
@@ -84,12 +83,11 @@ def orthonormal_range(A, tol: Tolerance | None = None) -> np.ndarray:
     return U[:, s > rank_cutoff(M, tol)]
 
 
-def kernel(A, tol: Tolerance | None = None) -> np.ndarray:
+def kernel(A, tol: Tolerance = DEFAULT) -> np.ndarray:
     """Orthonormal basis of the near-null eigenspace of a Hermitian matrix.
 
     Columns span the eigenspace with |w| <= rank_cutoff(A).
     """
-    tol = tol or default_tolerance()
     M = as_matrix(A)
     w, V = hermitian_eig(M)
     return V[:, np.abs(w) <= rank_cutoff(M, tol)]

@@ -13,7 +13,7 @@ from .lattice import Subspace
 from .mobius import mobius
 from .numerics import as_matrix, hermitian_eig, require_hermitian
 from .rng import Xorshift64Star
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 class DensityMatrix:
@@ -86,14 +86,13 @@ def stddev(rho: DensityMatrix, Theta) -> float:
 
 
 def ds_classify(rho: DensityMatrix, H1: Subspace, H2: Subspace,
-                tol: Tolerance | None = None) -> str:
+                tol: Tolerance = DEFAULT) -> str:
     """Classify the pair's probabilities as Dempster-Shafer lower or upper.
 
     The sign of Tr(rho D(H1,H2)) decides: positive means the projector
     probabilities behave as upper (plausibility-like) values, negative as
     lower (belief-like) values, and zero as ordinarily additive.
     """
-    tol = tol or default_tolerance()
     val = expectation(rho, mobius([H1, H2], tol).matrix)
     if val > tol.identity_eps:
         return "upper"

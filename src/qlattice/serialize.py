@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ParseError
 from .lattice import Subspace
 from .numerics import as_matrix
-from .tolerances import Tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 def _complex_entries(data, count: int, what: str) -> list[complex]:
@@ -59,7 +59,7 @@ def subspace_to_json(H: Subspace) -> dict:
     return {"d": H.dim_ambient, "vectors": vectors}
 
 
-def subspace_from_json(obj, tol: Tolerance | None = None) -> Subspace:
+def subspace_from_json(obj, tol: Tolerance = DEFAULT) -> Subspace:
     try:
         d = int(obj["d"])
         vectors = obj["vectors"]

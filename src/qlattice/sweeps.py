@@ -10,7 +10,7 @@ the pinned generator; a sweep records the worst residual seen per name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +24,13 @@ from .modular import (P1_SUM_EPS, Interval, random_sandwiched_member,
 from .numerics import frobenius
 from .observables import DensityMatrix, expectation, random_density
 from .rng import Xorshift64Star, mix_stream
-from .tolerances import Tolerance, default_tolerance
+from .tolerances import DEFAULT, Tolerance
 
 
 # -- identities ---------------------------------------------------------------
 
 def commutator_identity_residuals(H1: Subspace, H2: Subspace,
-                                  tol: Tolerance | None = None) -> dict[str, float]:
+                                  tol: Tolerance = DEFAULT) -> dict[str, float]:
     """commutator_link: [P1, P2] = D(H1,H2) (P1 - P2).
 
     Links the projector commutator to the two-argument non-additivity
@@ -42,7 +42,7 @@ def commutator_identity_residuals(H1: Subspace, H2: Subspace,
 
 
 def triple_identity_residuals(H1: Subspace, H2: Subspace, H3: Subspace,
-                              tol: Tolerance | None = None) -> dict[str, float]:
+                              tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Residuals of the three-argument operator identities:
 
       sum_rule          D(1,2,3) + Ddual(1,2,3) + D(1,2) + D(1,3) + D(2,3) = 0
@@ -74,7 +74,7 @@ def triple_identity_residuals(H1: Subspace, H2: Subspace, H3: Subspace,
 
 
 def varpi_link_residuals(H1: Subspace, H2: Subspace, H0: Subspace,
-                         tol: Tolerance | None = None) -> dict[str, float]:
+                         tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Residuals of the decompositions of both defects into Moebius operators.
 
     Each defect is checked against two independent expressions:
@@ -110,7 +110,7 @@ def varpi_link_residuals(H1: Subspace, H2: Subspace, H0: Subspace,
 
 
 def pi_decomposition_residuals(H0: Subspace, H1: Subspace,
-                               tol: Tolerance | None = None) -> dict[str, float]:
+                               tol: Tolerance = DEFAULT) -> dict[str, float]:
     """decomposition: pi(H0;H1) = varpi2(H1, H1p | H0) + D(H1^H0, H1p^H0).
 
     Splits the total-probability deviation into a distributivity part and a
@@ -124,7 +124,7 @@ def pi_decomposition_residuals(H0: Subspace, H1: Subspace,
 
 
 def moment_relation_residuals(rho: DensityMatrix, H1: Subspace, H2: Subspace,
-                              tol: Tolerance | None = None) -> dict[str, float]:
+                              tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Residuals of the mean and variance relations for D(H1, H2).
 
     mean:     E[D] = E[Pv] - E[P1] - E[P2] + E[Pm]
@@ -153,7 +153,7 @@ def moment_relation_residuals(rho: DensityMatrix, H1: Subspace, H2: Subspace,
 
 
 def modularity_residuals(H1: Subspace, H2: Subspace, H3: Subspace,
-                         tol: Tolerance | None = None) -> dict[str, float]:
+                         tol: Tolerance = DEFAULT) -> dict[str, float]:
     """modularity: H1 v (H2 ^ H3) = (H1 v H2) ^ H3, for H1 <= H3."""
     lhs = join(H1, meet(H2, H3, tol), tol).projector()
     rhs = meet(join(H1, H2, tol), H3, tol).projector()
@@ -161,7 +161,7 @@ def modularity_residuals(H1: Subspace, H2: Subspace, H3: Subspace,
 
 
 def p1_residuals(H1: Subspace, H2: Subspace,
-                 tol: Tolerance | None = None) -> dict[str, float]:
+                 tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Spectral constraint P1 on D(H1,H2) (see modular.spectral_p1):
 
       eigenvalue_sum        |sum of the eigenvalues|
@@ -176,14 +176,14 @@ def p1_residuals(H1: Subspace, H2: Subspace,
 
 
 def p2_residuals(H1: Subspace, H2: Subspace, h: Subspace, h_second: Subspace,
-                 tol: Tolerance | None = None) -> dict[str, float]:
+                 tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Telescoping of D over a sandwiched interval, for h, h' in [H1^H2, H1]:
 
       telescope         D(H2, h) + D(h v H2, H1) = D(H2, H1)
       telescope_second  the same for h'
       members_agree     the two telescoped sums agree with each other
     """
-    interval = Interval(meet(H1, H2, tol), H1)
+    interval = Interval(meet(H1, H2, tol), H1, tol)
     if not (interval.contains(h, tol) and interval.contains(h_second, tol)):
         raise PreconditionViolated("member outside [H1^H2, H1]")
     total = mobius([H2, H1], tol).matrix
@@ -195,7 +195,7 @@ def p2_residuals(H1: Subspace, H2: Subspace, h: Subspace, h_second: Subspace,
 
 
 def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
-                 tol: Tolerance | None = None) -> dict[str, float]:
+                 tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Identities relating projective intervals [H1,H1'] and [H3,H3'].
 
     H2' = H1' v H2 and H1 = H1' ^ H2, so that [H1,H1'] <=tr [H2,H2'].  H3'
@@ -213,7 +213,7 @@ def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
         raise PreconditionViolated("H3' not contained in H1' v H2")
     if not join(H3p, H2, tol).equiv(H2p, tol):
         raise PreconditionViolated("H3' v H2 does not reach H1' v H2")
-    if not Interval(H1, H1p).contains(h, tol):
+    if not Interval(H1, H1p, tol).contains(h, tol):
         raise PreconditionViolated("h outside [H1, H1']")
     H3 = meet(H3p, H2, tol)
     hp = meet(join(h, H2, tol), H3p, tol)
@@ -226,7 +226,7 @@ def p3_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
 
 
 def projective_roundtrip_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h: Subspace,
-                                   tol: Tolerance | None = None) -> dict[str, float]:
+                                   tol: Tolerance = DEFAULT) -> dict[str, float]:
     """roundtrip: (h' v H2) ^ H1' recovers h, where h' = (h v H2) ^ H3' and
     the inputs satisfy p3_residuals' preconditions; zero by modularity."""
     hp = meet(join(h, H2, tol), H3p, tol)
@@ -235,7 +235,7 @@ def projective_roundtrip_residuals(H1p: Subspace, H2: Subspace, H3p: Subspace, h
 
 
 def transpose_roundtrip_residuals(h: Subspace, H1: Subspace, H2: Subspace,
-                                  tol: Tolerance | None = None) -> dict[str, float]:
+                                  tol: Tolerance = DEFAULT) -> dict[str, float]:
     """pair_roundtrip: ||P(h) - P((h v H2) ^ H1)|| for h in [H1^H2, H1];
     zero by modularity."""
     back = transpose_down(transpose_up(h, H1, H2, tol), H1, H2, tol)
@@ -243,7 +243,7 @@ def transpose_roundtrip_residuals(h: Subspace, H1: Subspace, H2: Subspace,
 
 
 def demorgan_residuals(H1: Subspace, H2: Subspace,
-                       tol: Tolerance | None = None) -> dict[str, float]:
+                       tol: Tolerance = DEFAULT) -> dict[str, float]:
     """De Morgan laws of the orthocomplement:
 
       meet_law  (H1 ^ H2)-perp = H1-perp v H2-perp
@@ -351,7 +351,7 @@ class SweepConfig:
     trials: int
     seed: int
     checks: tuple[str, ...] = ALL_CHECKS
-    tolerances: Tolerance = field(default_factory=default_tolerance)
+    tolerances: Tolerance = DEFAULT
 
     def __post_init__(self):
         if self.trials < 1:

@@ -1,4 +1,5 @@
-"""Numerical thresholds shared by every module."""
+"""Numerical thresholds shared by every module.  Library functions default
+to DEFAULT; only the qlattice command applies the QLATTICE_EPS override."""
 
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ _ENV_VAR = "QLATTICE_EPS"
 
 
 def default_tolerance() -> Tolerance:
-    """Default thresholds, honoring the QLATTICE_EPS override if set."""
+    """DEFAULT, with identity_eps taken from QLATTICE_EPS if that is set."""
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT

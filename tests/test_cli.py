@@ -5,7 +5,10 @@ import pytest
 
 from qlattice.cli import main
 from qlattice.golden import worked_example
+from qlattice.lattice import Subspace, leq
 from qlattice.serialize import dump_json, matrix_to_json, subspace_to_json
+from qlattice.sweeps import SweepConfig
+from qlattice.tolerances import Tolerance
 
 
 @pytest.fixture
@@ -115,3 +118,25 @@ def test_eps_env_override(monkeypatch):
     assert default_tolerance().identity_eps == 1e-6
     monkeypatch.delenv("QLATTICE_EPS")
     assert default_tolerance().identity_eps == 1e-9
+
+
+def test_sweep_reads_eps_env(monkeypatch, capsys):
+    monkeypatch.setenv("QLATTICE_EPS", "1e-6")
+    assert main(["sweep", "--d", "3", "--trials", "2", "--check", "e3"]) == 0
+    assert "tol=1.0e-06" in capsys.readouterr().out
+
+
+def test_mobius_classification_reads_eps_env(example_files, monkeypatch, capsys):
+    # E[D(1,2)] = -0.701 is "lower" at the default, inside an identity_eps of 0.9
+    monkeypatch.setenv("QLATTICE_EPS", "0.9")
+    assert main(["mobius", example_files["h1"], example_files["h2"],
+                 "--rho", example_files["rho"]]) == 0
+    assert "classification: additive" in capsys.readouterr().out
+
+
+def test_library_ignores_eps_env(monkeypatch):
+    # only the command line reads QLATTICE_EPS; library defaults are Tolerance()
+    monkeypatch.setenv("QLATTICE_EPS", "1e-6")
+    assert SweepConfig(3, 2, 1).tolerances == Tolerance()
+    near = Subspace.line([1, 1e-8, 0])
+    assert not leq(near, Subspace.line([1, 0, 0]))

@@ -13,6 +13,7 @@ from qlattice.modular import (Interval, is_lower_transpose,
 from qlattice.numerics import frobenius
 from qlattice.sweeps import (_projective, p2_residuals, p3_residuals,
                              transpose_roundtrip_residuals)
+from qlattice.tolerances import Tolerance
 
 
 def generic_pair(rng, d=4):
@@ -24,6 +25,20 @@ def test_interval_requires_nesting(rng):
     H1, H2 = generic_pair(rng)
     with pytest.raises(PreconditionViolated):
         Interval(H1, meet(H1, H2))  # generic meet is strictly smaller
+
+
+def test_interval_nesting_uses_tol():
+    # the line (1, 1e-6, 0) lies in e1 at identity_eps = 1e-3, not at 1e-9
+    loose = Tolerance(identity_eps=1e-3)
+    lo, up = Subspace.line([1, 1e-6, 0]), Subspace.line([1, 0, 0])
+    assert Interval(lo, up, loose).contains(lo, loose)
+    with pytest.raises(PreconditionViolated):
+        Interval(lo, up)
+    # the pair's meet is a line of rank 1 between the two, nested only at 1e-3
+    A, B = transpose_pair(lo, up, loose)
+    assert (A.upper, B.lower) == (lo, up)
+    with pytest.raises(PreconditionViolated):
+        transpose_pair(lo, up)
 
 
 def test_mixed_dimensions_raise(rng):
