@@ -8,10 +8,10 @@ from .classical import (FiniteMeasure, MassFunction, belief_plausibility,
                         mobius_delta, total_probability_residual)
 from .coherent import (CoherentAggregate, CoherentFamily, generic_fiducial,
                        mixed_coherent_state)
-from .distributivity import (DeviationProjector, pi_deviation, varpi1, varpi2)
-from .lattice import (Subspace, commutes, join, join_all, leq, meet,
-                      meet_all, orthocomplement, random_subspace)
-from .mobius import MobiusOperator, mobius, mobius_dual
+from .distributivity import pi_deviation, varpi1, varpi2
+from .lattice import (LatticeOperator, Subspace, commutes, join, join_all,
+                      leq, meet, meet_all, orthocomplement, random_subspace)
+from .mobius import mobius, mobius_dual
 from .modular import (Interval, SpectralReport, is_lower_transpose, proj_map,
                       psi_map, spectral_p1, transpose_down, transpose_up)
 from .numerics import (EigenDecomposition, hermitian_eig, kernel,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoherentAggregate", "CoherentFamily", "DensityMatrix",
-    "DeviationProjector", "EigenDecomposition", "FiniteMeasure", "Interval",
-    "MassFunction", "MobiusOperator", "SpectralReport", "Subspace",
+    "EigenDecomposition", "FiniteMeasure", "Interval", "LatticeOperator",
+    "MassFunction", "SpectralReport", "Subspace",
     "Tolerance", "Xorshift64Star", "belief_plausibility", "commutes",
     "default_tolerance", "ds_classify", "expectation", "generic_fiducial",
     "hermitian_eig", "is_lower_transpose", "join",

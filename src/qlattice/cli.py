@@ -8,8 +8,10 @@ Subcommands:
   mobius     non-additivity operator of user-supplied subspace files
 
 Human tables print three decimals; JSON dumps keep full precision.  The
-environment variable QLATTICE_EPS overrides the identity tolerance; each
-subcommand reads it once and passes it to every library call.
+environment variable QLATTICE_EPS overrides the identity tolerance of sweep
+(its tolerance column and pass/fail) and of mobius --rho (the
+classification); repro and coherent always use the default tolerance.  Bad
+input of any subcommand prints "error: <type>: <message>" and exits 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from . import coherent as coh
-from .errors import QLatticeError
+from .errors import ParseError, QLatticeError
 from .golden import KNOWN_INCONSISTENT, evaluate_goldens
 from .mobius import mobius, mobius_dual
 from .numerics import hermitian_eig
@@ -37,35 +39,34 @@ def _fmt(x: float) -> str:
 
 
 def cmd_repro(args) -> int:
-    tol = default_tolerance()
-    results = evaluate_goldens(tol)
-    width = max(len(r.record.name) for r in results)
+    results = evaluate_goldens()
+    width = max(len(r.name) for r in results)
     print("worked example reproduction (reference tolerance 5e-3)")
     failing = []
     for res in results:
         status = "pass" if res.passed else "FAIL"
         note = ""
-        if res.record.name in KNOWN_INCONSISTENT:
+        if res.name in KNOWN_INCONSISTENT:
             note = "  [reference value inconsistent with its own construction]"
-        print(f"  {res.record.name:<{width}s}  max|diff|={res.deviation:.5f}  {status}{note}")
+        print(f"  {res.name:<{width}s}  max|diff|={res.deviation:.5f}  {status}{note}")
         if not res.passed:
             failing.append(res)
     # same-code-path identity: the second defect equals the total-probability
     # deviation exactly in this configuration
-    values = {res.record.name: res.computed for res in results}
+    values = {res.name: res.computed for res in results}
     exact = float(np.max(np.abs(values["varpi2"] - values["pi"])))
     print(f"  varpi2 == pi exact comparison: {exact:.2e} "
           + ("pass" if exact <= 1e-12 else "FAIL"))
     if failing:
-        print("failing records: " + ", ".join(r.record.name for r in failing))
+        print("failing records: " + ", ".join(r.name for r in failing))
         print("recomputed values for failing records:")
         for res in failing:
             if isinstance(res.computed, np.ndarray):
                 rows = ["    " + "  ".join(_fmt(x) for x in row)
                         for row in np.asarray(res.computed).real]
-                print(f"  {res.record.name} =\n" + "\n".join(rows))
+                print(f"  {res.name} =\n" + "\n".join(rows))
             else:
-                print(f"  {res.record.name} = {_fmt(float(res.computed))}")
+                print(f"  {res.name} = {_fmt(float(res.computed))}")
         return 1
     return 0
 
@@ -85,14 +86,20 @@ def cmd_sweep(args) -> int:
     return 0 if all(line.passed for line in lines) else 1
 
 
+def _parse_pair(text: str, what: str) -> tuple[int, int]:
+    """'a,b' as two integers, or ParseError."""
+    try:
+        a, b = text.split(",")
+        return int(a), int(b)
+    except ValueError:
+        raise ParseError(f"{what} {text!r} is not 'a,b' with integers a, b") from None
+
+
 def _parse_labels(text: str) -> list[tuple[int, int]]:
-    labels = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        a, b = part.split(",")
-        labels.append((int(a), int(b)))
+    parts = [part.strip() for part in text.split(";")]
+    labels = [_parse_pair(part, "label") for part in parts if part]
+    if not labels:
+        raise ParseError(f"no phase-space labels in {text!r}")
     return labels
 
 
@@ -105,14 +112,13 @@ def cmd_coherent(args) -> int:
         fid = fid / np.linalg.norm(fid)
     family = coh.CoherentFamily(d, fid)
     labels = _parse_labels(args.labels)
-    tol = default_tolerance()
-    agg = coh.CoherentAggregate.from_labels(family, labels, tol)
+    agg = coh.CoherentAggregate.from_labels(family, labels)
     print(f"coherent family d={d}, labels {labels}")
     print(f"  aggregate trace: {np.trace(agg.projector).real:.6f} (target {agg.size})")
     rho = coh.mixed_coherent_state(agg)
     print(f"  mixed-state entropy: {rho.entropy():.9f} (log n = {np.log(agg.size):.9f})")
     if agg.size >= 2:
-        res = coh.resolution_residuals(family, labels, tol)
+        res = coh.resolution_residuals(family, labels)
         print(f"  resolution (projectors, 1/(i d)):   {res['identity_from_projectors']:.3e}")
         print(f"  resolution (increments, 1/d):       {res['identity_from_increments']:.3e}")
         print(f"  resolution (increments, 1/i):       {res['increments_naive_coefficient']:.3e}"
@@ -121,8 +127,8 @@ def cmd_coherent(args) -> int:
         print(f"  translated operator sum:            {res['mobius_sum']:.3e}")
         print(f"  trace relation (generic operator):  {res['trace_relation']:.3e}")
     if args.shift:
-        k, l = (int(x) for x in args.shift.split(","))
-        resc = coh.displacement_covariance_residuals(agg, k, l, tol)
+        k, l = _parse_pair(args.shift, "shift")
+        resc = coh.displacement_covariance_residuals(agg, k, l)
         for name, value in resc.items():
             print(f"  covariance under shift ({k},{l}) [{name}]: {value:.3e}")
     return 0

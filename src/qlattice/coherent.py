@@ -13,8 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (DimensionMismatch, DuplicateLabel, EvenDimension,
-                     InternalInconsistency, LinearlyDependentState,
-                     NonUnitFiducial, ShiftDependenceFailure)
+                     InternalInconsistency, InvalidArgument,
+                     LinearlyDependentState, NonUnitFiducial,
+                     ShiftDependenceFailure)
 from .lattice import Subspace
 from .mobius import mobius
 from .numerics import frobenius
@@ -213,8 +214,8 @@ def displacement_covariance_residuals(agg: CoherentAggregate, k: int, l: int,
     return out
 
 
-def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance = DEFAULT,
-                         theta: np.ndarray | None = None) -> dict[str, float]:
+def resolution_residuals(family: CoherentFamily, labels,
+                         tol: Tolerance = DEFAULT) -> dict[str, float]:
     """Residuals of the phase-space resolutions over all d^2 translates.
 
     identity_from_projectors: (1/(i d)) sum P(shifted aggregate) = 1
@@ -224,14 +225,14 @@ def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance = DEFAUL
     increments_naive_coefficient: the same sum scaled by 1/i instead,
         reported for comparison; differs from the identity whenever i != d
     mobius_sum: sum of the non-additivity operators vanishes
-    trace_relation: (1/d) sum D Theta D-dagger = Tr(Theta) 1 for a generic
-        Theta (the engine behind all three resolutions)
+    trace_relation: (1/d) sum D Theta D-dagger = Tr(Theta) 1 for the generic
+        Theta = diag(1, ..., d) (the engine behind all three resolutions)
     """
     d = family.d
     labels = [tuple(x % d for x in lb) for lb in labels]
     i = len(labels)
     if not (2 <= i <= d):
-        raise ValueError(f"need between 2 and {d} labels, got {i}")
+        raise InvalidArgument(f"need between 2 and {d} labels, got {i}")
     base = CoherentAggregate.from_labels(family, labels, tol)
     total_proj = np.zeros((d, d), dtype=complex)
     total_inc = np.zeros((d, d), dtype=complex)
@@ -253,8 +254,7 @@ def resolution_residuals(family: CoherentFamily, labels, tol: Tolerance = DEFAUL
         "increments_naive_coefficient": frobenius(total_inc / i - eye),
         "mobius_sum": frobenius(total_mob),
     }
-    if theta is None:
-        theta = np.diag(np.arange(1, d + 1)).astype(complex)
+    theta = np.diag(np.arange(1, d + 1)).astype(complex)
     conj_sum = sum(family.displacement(k, l) @ theta @ family.displacement(k, l).conj().T
                    for k in range(d) for l in range(d))
     out["trace_relation"] = frobenius(conj_sum / d - np.trace(theta) * eye)
@@ -270,14 +270,10 @@ def perp_resolution_residual(family: CoherentFamily) -> float:
 
 
 def overlap_trace_residual(family: CoherentFamily, l1, l2) -> float:
-    """Residual of Tr[P(a,b) P(g,h)] = |sum_n f*_{n+h-b} f_n omega(n(g-a))|^2."""
-    d = family.d
-    (a, b), (g, h) = (tuple(x % d for x in l1), tuple(x % d for x in l2))
-    n = np.arange(d)
-    s = np.sum(np.conj(family.fiducial[(n + h - b) % d]) * family.fiducial
-               * family.omega(n * (g - a)))
-    direct = np.trace(family.state_projector(a, b) @ family.state_projector(g, h)).real
-    return abs(direct - abs(s) ** 2)
+    """Residual of Tr[P(a,b) P(g,h)] = |sum_n f*_{n+h-b} f_n omega(n(g-a))|^2,
+    the squared modulus of the closed-form overlap."""
+    direct = np.trace(family.state_projector(*l1) @ family.state_projector(*l2)).real
+    return abs(direct - abs(family.overlap(*l1, *l2)) ** 2)
 
 
 def mixed_coherent_state(agg: CoherentAggregate) -> DensityMatrix:

@@ -11,26 +11,13 @@ dimensions raise DimensionMismatch from the first join or meet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from .lattice import Subspace, join, meet, orthocomplement
+from .lattice import LatticeOperator, Subspace, join, meet, orthocomplement
 from .numerics import frobenius
 from .tolerances import DEFAULT, Tolerance
 
 
-@dataclass(frozen=True)
-class DeviationProjector:
-    matrix: np.ndarray
-    arguments: tuple[Subspace, ...]
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-
 def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
-           tol: Tolerance = DEFAULT) -> DeviationProjector:
+           tol: Tolerance = DEFAULT) -> LatticeOperator:
     """First distributivity defect:
     P[(H1 v H0) ^ (H2 v H0)] - P[(H1 ^ H2) v H0].
 
@@ -40,23 +27,21 @@ def varpi1(H1: Subspace, H2: Subspace, H0: Subspace,
     """
     upper = meet(join(H1, H0, tol), join(H2, H0, tol), tol)
     lower = join(meet(H1, H2, tol), H0, tol)
-    M = upper.projector() - lower.projector()
-    return DeviationProjector((M + M.conj().T) / 2.0, (H1, H2, H0))
+    return LatticeOperator(upper.projector() - lower.projector(), (H1, H2, H0))
 
 
 def varpi2(H1: Subspace, H2: Subspace, H0: Subspace,
-           tol: Tolerance = DEFAULT) -> DeviationProjector:
+           tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Second distributivity defect:
     P[(H1 v H2) ^ H0] - P[(H1 ^ H0) v (H2 ^ H0)].
     """
     upper = meet(join(H1, H2, tol), H0, tol)
     lower = join(meet(H1, H0, tol), meet(H2, H0, tol), tol)
-    M = upper.projector() - lower.projector()
-    return DeviationProjector((M + M.conj().T) / 2.0, (H1, H2, H0))
+    return LatticeOperator(upper.projector() - lower.projector(), (H1, H2, H0))
 
 
 def pi_deviation(H0: Subspace, H1: Subspace,
-                 tol: Tolerance = DEFAULT) -> DeviationProjector:
+                 tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Total-probability deviation:
     P(H0) - P(H1 ^ H0) - P(H1-perp ^ H0).
 
@@ -67,7 +52,7 @@ def pi_deviation(H0: Subspace, H1: Subspace,
     M = (H0.projector()
          - meet(H1, H0, tol).projector()
          - meet(H1p, H0, tol).projector())
-    return DeviationProjector((M + M.conj().T) / 2.0, (H0, H1))
+    return LatticeOperator(M, (H0, H1))
 
 
 def binary_defect_residuals(H1: Subspace, H0: Subspace,

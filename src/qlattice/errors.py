@@ -9,8 +9,13 @@ class DimensionMismatch(QLatticeError):
     """Operands live in Hilbert spaces of different ambient dimension."""
 
 
-class InvalidMatrix(QLatticeError, ValueError):
-    """A matrix argument is not 1-d or 2-d, or has non-finite entries."""
+class InvalidArgument(QLatticeError, ValueError):
+    """An argument lies outside the domain its function accepts."""
+
+
+class InvalidMatrix(InvalidArgument):
+    """A matrix argument is not 1-d or 2-d, has non-finite entries, or is not
+    a density matrix (unit trace, no negative eigenvalue) where one is needed."""
 
 
 class NonHermitianInput(QLatticeError):
@@ -57,8 +62,8 @@ class ShiftDependenceFailure(QLatticeError):
     """Some displaced copy of an aggregate hits linear dependence."""
 
 
-class ParseError(QLatticeError):
-    """A JSON document does not match the expected schema."""
+class ParseError(QLatticeError, ValueError):
+    """A JSON document or a command-line value does not parse."""
 
 
 class UnknownCheck(QLatticeError):

@@ -23,7 +23,7 @@ comparison reports them as failing and shows the recomputed values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,29 +35,33 @@ from .tolerances import DEFAULT, Tolerance
 
 GOLDEN_TOL = 5e-3
 
-REF_PAIR_12 = np.array([[0.019, 0.142, -0.480],
-                        [0.142, 0.403, -0.714],
-                        [-0.480, -0.714, -0.422]])
-REF_PAIR_13 = np.array([[0.055, 0.200, -0.471],
-                        [0.200, 0.490, -0.671],
-                        [-0.471, -0.671, -0.545]])
-REF_PAIR_23 = np.array([[-0.014, 0.090, -0.506],
-                        [0.090, 0.330, -0.783],
-                        [-0.506, -0.783, -0.316]])
-REF_TRIPLE = np.array([[-0.054, -0.210, 0.457],
-                       [-0.210, -0.539, 0.668],
-                       [0.457, 0.668, 0.593]])
-REF_TRIPLE_DUAL = np.array([[-0.006, -0.222, 1.000],
-                            [-0.222, -0.685, 1.499],
-                            [1.000, 1.499, 0.691]])
-REF_VARPI1 = np.array([[0.145, 0.290, -0.199],
-                       [0.290, 0.580, -0.399],
-                       [-0.199, -0.399, 0.275]])
-REF_VARPI2 = np.array([[0.125, 0.142, 0.298],
-                       [0.142, 0.163, 0.340],
-                       [0.298, 0.340, 0.712]])
+# the recorded varpi2, which in this configuration is also the recorded pi
+_VARPI2 = np.array([[0.125, 0.142, 0.298],
+                    [0.142, 0.163, 0.340],
+                    [0.298, 0.340, 0.712]])
 
-REF_MOMENTS = {
+# every recorded reference value, in report order
+REFERENCE = {
+    "D(1,2)": np.array([[0.019, 0.142, -0.480],
+                        [0.142, 0.403, -0.714],
+                        [-0.480, -0.714, -0.422]]),
+    "D(1,3)": np.array([[0.055, 0.200, -0.471],
+                        [0.200, 0.490, -0.671],
+                        [-0.471, -0.671, -0.545]]),
+    "D(2,3)": np.array([[-0.014, 0.090, -0.506],
+                        [0.090, 0.330, -0.783],
+                        [-0.506, -0.783, -0.316]]),
+    "D(1,2,3)": np.array([[-0.054, -0.210, 0.457],
+                          [-0.210, -0.539, 0.668],
+                          [0.457, 0.668, 0.593]]),
+    "Ddual(1,2,3)": np.array([[-0.006, -0.222, 1.000],
+                              [-0.222, -0.685, 1.499],
+                              [1.000, 1.499, 0.691]]),
+    "varpi1": np.array([[0.145, 0.290, -0.199],
+                        [0.290, 0.580, -0.399],
+                        [-0.199, -0.399, 0.275]]),
+    "varpi2": _VARPI2,
+    "pi": _VARPI2,
     "E[D(1,2)]": -0.701, "Delta[D(1,2)]": 0.651,
     "E[D(1,2,3)]": 0.610, "Delta[D(1,2,3)]": 0.792,
     "E[varpi1]": 0.127, "Delta[varpi1]": 0.334,
@@ -70,23 +74,15 @@ KNOWN_INCONSISTENT = frozenset(
     {"D(1,2,3)", "Ddual(1,2,3)", "E[D(1,2,3)]", "Delta[D(1,2,3)]"})
 
 
-@dataclass(frozen=True)
-class GoldenRecord:
+class GoldenResult(NamedTuple):
     name: str
     expected: object          # ndarray or float
-    tolerance: float
-    source: str
-
-
-@dataclass(frozen=True)
-class GoldenResult:
-    record: GoldenRecord
     computed: object
     deviation: float
 
     @property
     def passed(self) -> bool:
-        return self.deviation <= self.record.tolerance
+        return self.deviation <= GOLDEN_TOL
 
 
 def worked_example():
@@ -104,56 +100,33 @@ def worked_example():
     return H1, H2, H3, rho
 
 
-def golden_records() -> list[GoldenRecord]:
-    recs = [
-        GoldenRecord("D(1,2)", REF_PAIR_12, GOLDEN_TOL, "pair operator (v1, v2)"),
-        GoldenRecord("D(1,3)", REF_PAIR_13, GOLDEN_TOL, "pair operator (v1, v3)"),
-        GoldenRecord("D(2,3)", REF_PAIR_23, GOLDEN_TOL, "pair operator (v2, v3)"),
-        GoldenRecord("D(1,2,3)", REF_TRIPLE, GOLDEN_TOL, "triple operator"),
-        GoldenRecord("Ddual(1,2,3)", REF_TRIPLE_DUAL, GOLDEN_TOL, "dual triple operator"),
-        GoldenRecord("varpi1", REF_VARPI1, GOLDEN_TOL, "distributivity defect 1 (H1,H2|H3)"),
-        GoldenRecord("varpi2", REF_VARPI2, GOLDEN_TOL, "distributivity defect 2 (H1,H2|H3)"),
-        GoldenRecord("pi", REF_VARPI2, GOLDEN_TOL, "total-probability deviation (H3;H1)"),
-    ]
-    for name, value in REF_MOMENTS.items():
-        recs.append(GoldenRecord(name, value, GOLDEN_TOL, "moments vs all-ones state"))
-    return recs
-
-
 def compute_example_values(tol: Tolerance = DEFAULT) -> dict[str, object]:
-    """Every quantity the golden records refer to, from the live code paths."""
+    """Every quantity REFERENCE records, from the live code paths."""
     H1, H2, H3, rho = worked_example()
-    D12 = mobius([H1, H2], tol).matrix
-    D13 = mobius([H1, H3], tol).matrix
-    D23 = mobius([H2, H3], tol).matrix
-    D123 = mobius([H1, H2, H3], tol).matrix
-    Dd123 = mobius_dual([H1, H2, H3], tol).matrix
-    vp1 = varpi1(H1, H2, H3, tol).matrix
-    vp2 = varpi2(H1, H2, H3, tol).matrix
-    pi = pi_deviation(H3, H1, tol).matrix
-    return {
-        "D(1,2)": D12, "D(1,3)": D13, "D(2,3)": D23,
-        "D(1,2,3)": D123, "Ddual(1,2,3)": Dd123,
-        "varpi1": vp1, "varpi2": vp2, "pi": pi,
-        "E[D(1,2)]": expectation(rho, D12),
-        "Delta[D(1,2)]": stddev(rho, D12),
-        "E[D(1,2,3)]": expectation(rho, D123),
-        "Delta[D(1,2,3)]": stddev(rho, D123),
-        "E[varpi1]": expectation(rho, vp1),
-        "Delta[varpi1]": stddev(rho, vp1),
-        "E[varpi2]": expectation(rho, vp2),
-        "Delta[varpi2]": stddev(rho, vp2),
+    values = {
+        "D(1,2)": mobius([H1, H2], tol).matrix,
+        "D(1,3)": mobius([H1, H3], tol).matrix,
+        "D(2,3)": mobius([H2, H3], tol).matrix,
+        "D(1,2,3)": mobius([H1, H2, H3], tol).matrix,
+        "Ddual(1,2,3)": mobius_dual([H1, H2, H3], tol).matrix,
+        "varpi1": varpi1(H1, H2, H3, tol).matrix,
+        "varpi2": varpi2(H1, H2, H3, tol).matrix,
+        "pi": pi_deviation(H3, H1, tol).matrix,
     }
+    for name in ("D(1,2)", "D(1,2,3)", "varpi1", "varpi2"):
+        values[f"E[{name}]"] = expectation(rho, values[name])
+        values[f"Delta[{name}]"] = stddev(rho, values[name])
+    return values
 
 
 def evaluate_goldens(tol: Tolerance = DEFAULT) -> list[GoldenResult]:
     values = compute_example_values(tol)
     results = []
-    for rec in golden_records():
-        got = values[rec.name]
-        if isinstance(rec.expected, np.ndarray):
-            dev = float(np.max(np.abs(np.asarray(got).real - rec.expected)))
+    for name, expected in REFERENCE.items():
+        got = values[name]
+        if isinstance(expected, np.ndarray):
+            dev = float(np.max(np.abs(np.asarray(got).real - expected)))
         else:
-            dev = abs(float(got) - float(rec.expected))
-        results.append(GoldenResult(rec, got, dev))
+            dev = abs(float(got) - expected)
+        results.append(GoldenResult(name, expected, got, dev))
     return results

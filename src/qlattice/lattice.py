@@ -4,9 +4,14 @@ complex Hilbert space.
 Subspaces are immutable values carrying an orthonormal basis; all lattice
 operations (meet, join, orthocomplement, partial order, commutation) act on
 their projectors, so results never depend on the particular basis chosen.
+Every operator built from subspaces (the Moebius operators, the
+distributivity defects, the total-probability deviation) is a
+LatticeOperator.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,6 +98,22 @@ class Subspace:
     def equiv(self, other: "Subspace", tol: Tolerance = DEFAULT) -> bool:
         """Equality as subspaces: mutual containment of projectors."""
         return leq(self, other, tol) and leq(other, self, tol)
+
+
+@dataclass(frozen=True, init=False)
+class LatticeOperator:
+    """Hermitian operator built from its argument subspaces."""
+
+    matrix: np.ndarray  # the Hermitian part of the raw matrix, read-only
+    arguments: tuple[Subspace, ...]
+    trace: float
+
+    def __init__(self, M: np.ndarray, arguments):
+        H = (M + M.conj().T) / 2.0
+        H.setflags(write=False)
+        object.__setattr__(self, "matrix", H)
+        object.__setattr__(self, "arguments", tuple(arguments))
+        object.__setattr__(self, "trace", float(np.trace(H).real))
 
 
 def _require_same_ambient(*subspaces: Subspace) -> int:

@@ -21,35 +21,21 @@ rule and its chain reductions) are stated once, in qlattice.sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import TooManyArguments
-from .lattice import Subspace, _require_same_ambient, join, meet, orthocomplement
+from .errors import InvalidArgument, TooManyArguments
+from .lattice import (LatticeOperator, Subspace, _require_same_ambient, join,
+                      meet, orthocomplement)
 from .numerics import frobenius
 from .tolerances import DEFAULT, Tolerance
 
 MAX_ARGUMENTS = 20
 
 
-@dataclass(frozen=True)
-class MobiusOperator:
-    """Hermitian operator measuring non-additivity over its arguments."""
-
-    matrix: np.ndarray
-    arguments: tuple[Subspace, ...]
-    trace: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "trace", float(np.trace(self.matrix).real))
-        self.matrix.setflags(write=False)
-
-
 def _validated(subspaces) -> tuple[Subspace, ...]:
     subs = tuple(subspaces)
     if len(subs) < 2:
-        raise ValueError("need at least two subspaces")
+        raise InvalidArgument(f"need at least two subspaces, got {len(subs)}")
     if len(subs) > MAX_ARGUMENTS:
         raise TooManyArguments(f"{len(subs)} arguments; subset enumeration is 2^n")
     # absorption can skip the combine that would otherwise raise
@@ -107,7 +93,7 @@ def _alternating_sum(subs, combine, absorbing, final_combine, final_absorbing,
     return M
 
 
-def mobius(subspaces, tol: Tolerance = DEFAULT) -> MobiusOperator:
+def mobius(subspaces, tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Non-additivity operator: joins over subsets, meet term at the end.
 
     For two arguments this is
@@ -115,14 +101,14 @@ def mobius(subspaces, tol: Tolerance = DEFAULT) -> MobiusOperator:
     """
     subs = _validated(subspaces)
     M = _alternating_sum(subs, join, Subspace.is_full, meet, Subspace.is_zero, tol)
-    return MobiusOperator((M + M.conj().T) / 2.0, subs)
+    return LatticeOperator(M, subs)
 
 
-def mobius_dual(subspaces, tol: Tolerance = DEFAULT) -> MobiusOperator:
+def mobius_dual(subspaces, tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Dual operator: meets over subsets, join term at the end."""
     subs = _validated(subspaces)
     M = _alternating_sum(subs, meet, Subspace.is_zero, join, Subspace.is_full, tol)
-    return MobiusOperator((M + M.conj().T) / 2.0, subs)
+    return LatticeOperator(M, subs)
 
 
 def perp_negation_residual(H1: Subspace, H2: Subspace,

@@ -12,32 +12,29 @@ qlattice.sweeps; the interval lemmas checked only by the unit tests stay here.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionViolated
-from .lattice import Subspace, between, join, leq, meet
-from .mobius import MobiusOperator, mobius
+from .lattice import LatticeOperator, Subspace, between, join, leq, meet
+from .mobius import mobius
 from .numerics import frobenius, hermitian_eig, rank_cutoff
 from .rng import Xorshift64Star
 from .tolerances import DEFAULT, Tolerance
 
-# |sum of the eigenvalues of D(H1,H2)| allowed by spectral constraint P1
-P1_SUM_EPS = 1e-8
 
-
-@dataclass(frozen=True)
 class Interval:
-    """Interval sublattice [lower, upper]; requires lower <= upper at tol."""
+    """Interval sublattice [lower, upper]; requires lower <= upper at tol,
+    which is used for that check only and not kept."""
 
-    lower: Subspace
-    upper: Subspace
-    tol: InitVar[Tolerance] = DEFAULT  # for the nesting check only; not kept
+    __slots__ = ("lower", "upper")
 
-    def __post_init__(self, tol):
-        if not leq(self.lower, self.upper, tol):
+    def __init__(self, lower: Subspace, upper: Subspace, tol: Tolerance = DEFAULT):
+        if not leq(lower, upper, tol):
             raise PreconditionViolated("interval endpoints not nested")
+        self.lower = lower
+        self.upper = upper
 
     def contains(self, h: Subspace, tol: Tolerance = DEFAULT) -> bool:
         return leq(self.lower, h, tol) and leq(h, self.upper, tol)
@@ -113,7 +110,7 @@ def proj_map(interval: Interval) -> np.ndarray:
     return interval.upper.projector() - interval.lower.projector()
 
 
-def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> MobiusOperator:
+def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Attach the non-additivity operator to the transpose pair of (H1, H2):
     proj_map([H2, H1vH2]) - proj_map([H1^H2, H1]).
 
@@ -121,8 +118,7 @@ def psi_map(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> MobiusOpera
     through the interval route as an independent code path.
     """
     A, B = transpose_pair(H1, H2, tol)
-    M = proj_map(B) - proj_map(A)
-    return MobiusOperator((M + M.conj().T) / 2.0, (H1, H2))
+    return LatticeOperator(proj_map(B) - proj_map(A), (H1, H2))
 
 
 @dataclass(frozen=True)
@@ -134,19 +130,12 @@ class SpectralReport:
     zero_count: int
     required_zero_count: int
 
-    @property
-    def sum_ok(self) -> bool:
-        return self.abs_sum <= P1_SUM_EPS
-
-    @property
-    def multiplicity_ok(self) -> bool:
-        return self.zero_count >= self.required_zero_count
-
 
 def spectral_p1(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> SpectralReport:
     """Spectral constraints on D(H1,H2): real spectrum summing to zero, with
     at least d - dim(H1 v H2) vanishing eigenvalues, |w| <= rank_cutoff(D)
-    (everything orthogonal to the join is annihilated)."""
+    (everything orthogonal to the join is annihilated).  The verdict is
+    sweeps.p1_residuals against the p1 tolerances of sweeps.REGISTRY."""
     D = mobius([H1, H2], tol).matrix
     w, _ = hermitian_eig(D)
     d = H1.dim_ambient

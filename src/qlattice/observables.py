@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, NegativeVariance, NonHermitianInput
+from .errors import (DimensionMismatch, InvalidMatrix, NegativeVariance,
+                     NonHermitianInput)
 from .lattice import Subspace
 from .mobius import mobius
 from .numerics import as_matrix, hermitian_eig, require_hermitian
@@ -25,10 +26,10 @@ class DensityMatrix:
         M = require_hermitian(as_matrix(matrix), "density matrix")
         tr = np.trace(M).real
         if abs(tr - 1.0) > 1e-9:
-            raise ValueError(f"trace {tr} != 1")
+            raise InvalidMatrix(f"density matrix trace {tr} != 1")
         w, _ = hermitian_eig(M)
         if w[0] < -1e-10:
-            raise ValueError(f"negative eigenvalue {w[0]:.3e}")
+            raise InvalidMatrix(f"density matrix has negative eigenvalue {w[0]:.3e}")
         M.setflags(write=False)
         self.matrix = M
 

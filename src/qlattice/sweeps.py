@@ -19,8 +19,8 @@ from .errors import InvalidConfig, PreconditionViolated, UnknownCheck
 from .lattice import (Subspace, inside, join, leq, meet, orthocomplement,
                       random_nested_pair, random_subspace)
 from .mobius import mobius, mobius_dual
-from .modular import (P1_SUM_EPS, Interval, random_sandwiched_member,
-                      spectral_p1, transpose_down, transpose_up)
+from .modular import (Interval, random_sandwiched_member, spectral_p1,
+                      transpose_down, transpose_up)
 from .numerics import frobenius
 from .observables import DensityMatrix, expectation, random_density
 from .rng import Xorshift64Star, mix_stream
@@ -325,6 +325,9 @@ def check_transpose_roundtrip(d, rng, tol):
         *_projective(d, rng, tol), tol)["roundtrip"]
     return out
 
+
+# |sum of the eigenvalues of D(H1,H2)| allowed by spectral constraint P1
+P1_SUM_EPS = 1e-8
 
 # name -> (function, {residual-name pattern: tolerance overriding identity_eps})
 REGISTRY = {

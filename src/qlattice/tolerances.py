@@ -6,6 +6,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from .errors import InvalidArgument, ParseError
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -22,9 +24,9 @@ class Tolerance:
 
     def __post_init__(self):
         if not (0.0 < self.rank_eps < 1.0):
-            raise ValueError(f"rank_eps out of range: {self.rank_eps}")
+            raise InvalidArgument(f"rank_eps out of range: {self.rank_eps}")
         if not (0.0 < self.identity_eps < 1.0):
-            raise ValueError(f"identity_eps out of range: {self.identity_eps}")
+            raise InvalidArgument(f"identity_eps out of range: {self.identity_eps}")
 
 
 DEFAULT = Tolerance()
@@ -40,5 +42,5 @@ def default_tolerance() -> Tolerance:
     try:
         eps = float(raw)
     except ValueError as exc:
-        raise ValueError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
+        raise ParseError(f"{_ENV_VAR} must be a float, got {raw!r}") from exc
     return Tolerance(rank_eps=DEFAULT.rank_eps, identity_eps=eps)

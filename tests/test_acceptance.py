@@ -40,7 +40,7 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 
 def golden_by_name():
-    return {res.record.name: res for res in evaluate_goldens()}
+    return {res.name: res for res in evaluate_goldens()}
 
 
 def test_criterion_1_pair_operator_matrices():
@@ -75,7 +75,7 @@ def test_criterion_1_recorded_triple_values_are_self_inconsistent():
     """The recorded reference matrices fail identities that any operator
     built from these projectors satisfies exactly; the recomputed ones pass.
     This pins the 1b failure on the recorded data, not the implementation."""
-    from qlattice.golden import REF_TRIPLE, REF_TRIPLE_DUAL
+    from qlattice.golden import REFERENCE
     from qlattice.mobius import mobius, mobius_dual
 
     H1, H2, H3, _ = worked_example()
@@ -85,14 +85,14 @@ def test_criterion_1_recorded_triple_values_are_self_inconsistent():
 
     computed = mobius([H1, H2, H3]).matrix
     res_computed = frobenius(lhs - P1 @ computed @ P2)
-    res_recorded = frobenius(lhs - P1 @ REF_TRIPLE.astype(complex) @ P2)
+    res_recorded = frobenius(lhs - P1 @ REFERENCE["D(1,2,3)"].astype(complex) @ P2)
     assert res_computed <= 1e-10
     assert res_recorded > 1e-3  # orders of magnitude beyond entry rounding
 
     # dual route: sum(P_i) minus the dual operator plays the role of the
     # triple-join projector here (all pairwise meets vanish); from the
     # recomputed dual it is one, from the recorded dual it is not even close
-    X_rec = P1 + P2 + P3 - REF_TRIPLE_DUAL.astype(complex)
+    X_rec = P1 + P2 + P3 - REFERENCE["Ddual(1,2,3)"].astype(complex)
     assert frobenius(X_rec @ X_rec - X_rec) > 0.1
     X_cmp = P1 + P2 + P3 - mobius_dual([H1, H2, H3]).matrix
     assert frobenius(X_cmp @ X_cmp - X_cmp) <= 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlattice.cli import main
-from qlattice.golden import worked_example
+from qlattice.golden import KNOWN_INCONSISTENT, REFERENCE, worked_example
 from qlattice.lattice import Subspace, leq
 from qlattice.serialize import dump_json, matrix_to_json, subspace_to_json
 from qlattice.sweeps import SweepConfig
@@ -36,6 +36,14 @@ def test_repro_reports_known_failures(capsys):
     for name in ("D(1,2)", "varpi1", "E[D(1,2)]"):
         line = next(l for l in out.splitlines() if f" {name} " in f" {l.strip()} " or l.strip().startswith(name))
         assert "pass" in line
+
+
+def test_repro_prints_records_in_reference_order(capsys):
+    assert KNOWN_INCONSISTENT <= set(REFERENCE)
+    main(["repro"])
+    out = capsys.readouterr().out
+    table = out.splitlines()[1:1 + len(REFERENCE)]
+    assert [line.split()[0] for line in table] == list(REFERENCE)
 
 
 def test_sweep_exit_zero_and_deterministic(capsys):
@@ -140,3 +148,24 @@ def test_library_ignores_eps_env(monkeypatch):
     assert SweepConfig(3, 2, 1).tolerances == Tolerance()
     near = Subspace.line([1, 1e-8, 0])
     assert not leq(near, Subspace.line([1, 0, 0]))
+
+
+@pytest.mark.parametrize("argv, env, error", [
+    (["mobius", "{h1}"], None, "InvalidArgument"),
+    (["mobius", "{h1}", "{h2}", "--rho", "{half}"], None, "InvalidMatrix"),
+    (["coherent", "--d", "3", "--labels", "0,0;1"], None, "ParseError"),
+    (["coherent", "--d", "3", "--labels", "0,0;1,x"], None, "ParseError"),
+    (["coherent", "--d", "3", "--labels", "0,0", "--shift", "1"], None, "ParseError"),
+    (["coherent", "--d", "3", "--labels", ""], None, "ParseError"),
+    (["sweep", "--d", "3", "--trials", "1"], "abc", "ParseError"),
+    (["sweep", "--d", "3", "--trials", "1"], "2", "InvalidArgument"),
+], ids=["one-subspace", "rho-trace", "label-pair", "label-int", "shift-pair",
+        "no-labels", "eps-text", "eps-range"])
+def test_bad_input_is_a_typed_error(argv, env, error, example_files, tmp_path,
+                                    monkeypatch, capsys):
+    half = tmp_path / "half.json"
+    dump_json(matrix_to_json(np.eye(3) / 2.0), str(half))
+    if env is not None:
+        monkeypatch.setenv("QLATTICE_EPS", env)
+    assert main([arg.format(half=half, **example_files) for arg in argv]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")

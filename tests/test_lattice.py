@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from qlattice.distributivity import pi_deviation, varpi1, varpi2
 from qlattice.errors import DimensionMismatch
 from qlattice.golden import worked_example
 from qlattice.lattice import (Subspace, between, commutes, inside, join,
                               join_all, leq, meet, meet_all, orthocomplement,
                               random_nested_pair, random_subspace)
+from qlattice.mobius import mobius, mobius_dual
+from qlattice.modular import psi_map
 from qlattice.numerics import frobenius
 from qlattice.rng import Xorshift64Star
 
@@ -193,3 +196,20 @@ def test_zero_rank_draws_consume_nothing(rng):
 def test_zero_projector_is_exactly_zero():
     P = Subspace.zero(4).projector()
     assert P.shape == (4, 4) and not P.any()
+
+
+@pytest.mark.parametrize("build, arity", [
+    pytest.param(mobius, 3, id="mobius"),
+    pytest.param(mobius_dual, 3, id="mobius_dual"),
+    pytest.param(lambda subs: varpi1(*subs), 3, id="varpi1"),
+    pytest.param(lambda subs: varpi2(*subs), 3, id="varpi2"),
+    pytest.param(lambda subs: pi_deviation(*subs), 2, id="pi_deviation"),
+    pytest.param(lambda subs: psi_map(*subs), 2, id="psi_map"),
+])
+def test_operator_builders_return_lattice_operators(build, arity, rng):
+    subs = [random_subspace(4, rank, rng) for rank in (1, 2, 3)[:arity]]
+    op = build(subs)
+    assert np.array_equal(op.matrix, op.matrix.conj().T)  # exactly Hermitian
+    assert not op.matrix.flags.writeable
+    assert op.arguments == tuple(subs)
+    assert op.trace == float(np.trace(op.matrix).real)
