@@ -3,7 +3,7 @@ cumulative projectors built from them.
 
 The displacement unitaries D(a, b) move a fiducial vector around the d x d
 discrete phase space, producing d^2 coherent states.  Aggregating several
-of them by Gram-Schmidt yields rank-i projectors that inherit two coherence
+of them by lattice joins yields rank-i projectors that inherit two coherence
 properties: displacement covariance and resolutions of the identity over
 all phase-space translates.
 """
@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, DuplicateLabel, EvenDimension,
                      InternalInconsistency, InvalidArgument,
                      LinearlyDependentState, NonUnitFiducial,
                      ShiftDependenceFailure)
-from .lattice import Subspace
+from .lattice import Subspace, join
 from .mobius import mobius
 from .numerics import frobenius
 from .observables import DensityMatrix
@@ -44,7 +44,7 @@ class CoherentFamily:
         f = np.asarray(fiducial, dtype=complex).reshape(-1)
         if f.shape[0] != d:
             raise DimensionMismatch(f"fiducial has length {f.shape[0]}, expected {d}")
-        if abs(np.linalg.norm(f) - 1.0) > 1e-10:
+        if not abs(np.linalg.norm(f) - 1.0) <= 1e-10:  # NaN fails this too
             raise NonUnitFiducial(f"fiducial norm {np.linalg.norm(f)}")
         self.d = d
         self.fiducial = f.copy()
@@ -54,7 +54,7 @@ class CoherentFamily:
         self.z_gen = np.diag(self.omega(n))
         self.x_gen = np.roll(np.eye(d, dtype=complex), 1, axis=0)
         self._displacements: dict[tuple[int, int], np.ndarray] = {}
-        self._states: dict[tuple[int, int], np.ndarray] = {}
+        self._lines: dict[tuple[int, int], Subspace] = {}
 
     def omega(self, m):
         """Root-of-unity phase exp(2 pi i m / d), with exact modular reduction."""
@@ -75,21 +75,18 @@ class CoherentFamily:
 
     def state(self, a: int, b: int) -> np.ndarray:
         """Coherent state D(a, b) applied to the fiducial vector."""
-        a, b = a % self.d, b % self.d
-        key = (a, b)
-        if key not in self._states:
-            v = self.displacement(a, b) @ self.fiducial
-            v.setflags(write=False)
-            self._states[key] = v
-        return self._states[key]
+        return self.subspace(a, b).basis[:, 0]
 
     def state_projector(self, a: int, b: int) -> np.ndarray:
-        v = self.state(a, b)
-        return np.outer(v, v.conj())
+        return self.subspace(a, b).projector()
 
     def subspace(self, a: int, b: int) -> Subspace:
-        """The coherent line as a lattice element."""
-        return Subspace(self.state(a, b).reshape(self.d, 1))
+        """The coherent line as a lattice element (cached)."""
+        key = (a % self.d, b % self.d)
+        if key not in self._lines:
+            v = self.displacement(*key) @ self.fiducial
+            self._lines[key] = Subspace(v.reshape(self.d, 1))
+        return self._lines[key]
 
     def overlap(self, a1: int, b1: int, a2: int, b2: int) -> complex:
         """Inner product of two coherent states via the closed form.
@@ -112,29 +109,29 @@ class CoherentFamily:
 
 class CoherentAggregate:
     """Projector onto the span of several coherent states, grown one state
-    at a time by Gram-Schmidt; keeps the rank-one increments."""
+    at a time by lattice joins; keeps the rank-one increments."""
 
-    def __init__(self, family: CoherentFamily, labels, projector, increments):
+    def __init__(self, family: CoherentFamily, labels, span: Subspace, increments):
         self.family = family
         self.labels = tuple(labels)
-        self.projector = projector
+        self.span = span
         self.increments = tuple(increments)
-        projector.setflags(write=False)
-
-    @classmethod
-    def start(cls, family: CoherentFamily, label) -> "CoherentAggregate":
-        a, b = label
-        return cls(family, [(a % family.d, b % family.d)],
-                   family.state_projector(a, b), [])
 
     @classmethod
     def from_labels(cls, family: CoherentFamily, labels,
                     tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         labels = list(labels)
-        agg = cls.start(family, labels[0])
+        if not labels:
+            raise InvalidArgument("need at least one phase-space label")
+        a, b = labels[0]
+        agg = cls(family, [(a % family.d, b % family.d)], family.subspace(a, b), [])
         for label in labels[1:]:
             agg = agg.extend(label, tol)
         return agg
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.span.projector()
 
     @property
     def size(self) -> int:
@@ -143,26 +140,21 @@ class CoherentAggregate:
     def extend(self, label, tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         """New aggregate including one more coherent state.
 
-        The increment is the normalized compression of the new state's
-        projector to the orthocomplement of the current span; its trace
-        normalizer vanishes exactly when the new state is dependent.
+        The new span is the join of the current span with the state's line,
+        and the increment is P(new span) - P(old span); a join that gains no
+        rank means the new state is dependent.
         """
         d = self.family.d
         a, b = label[0] % d, label[1] % d
         if (a, b) in self.labels:
             raise DuplicateLabel(f"label {(a, b)} already aggregated")
-        if self.size >= d:
-            raise LinearlyDependentState(f"already spanning {self.size} of {d} dimensions")
-        perp = np.eye(d) - self.projector
-        compressed = perp @ self.family.state_projector(a, b) @ perp
-        weight = float(np.trace(compressed).real)
-        if weight <= tol.rank_eps:
+        span = join(self.span, self.family.subspace(a, b), tol)
+        if span.rank == self.span.rank:
             raise LinearlyDependentState(
-                f"state {(a, b)} lies in the current span (weight {weight:.3e})")
-        increment = compressed / weight
+                f"state {(a, b)} lies in the current span of rank {span.rank}")
         return CoherentAggregate(
-            self.family, self.labels + ((a, b),),
-            self.projector + increment, self.increments + (increment,))
+            self.family, self.labels + ((a, b),), span,
+            self.increments + (span.projector() - self.projector,))
 
     def shifted(self, k: int, l: int, tol: Tolerance = DEFAULT) -> "CoherentAggregate":
         """The aggregate rebuilt from labels translated by (k, l)."""
@@ -180,7 +172,7 @@ def pair_projector_residual(family: CoherentFamily, l1, l2,
 
       tau [P1 + P2 - P1 P2 - P2 P1],  tau = (1 - |overlap|^2)^{-1}
 
-    against the Gram-Schmidt aggregate of the same two states.
+    against the aggregate of the same two states.
     """
     P1 = family.state_projector(*l1)
     P2 = family.state_projector(*l2)
@@ -195,8 +187,8 @@ def displacement_covariance_residuals(agg: CoherentAggregate, k: int, l: int,
                                       tol: Tolerance = DEFAULT) -> dict[str, float]:
     """How well conjugation by D(k, l) matches rebuilding at shifted labels.
 
-    Checks the full projector, every Gram-Schmidt increment, and the
-    non-additivity operator over the label lines.
+    Checks the full projector, every increment, and the non-additivity
+    operator over the label lines.
     """
     fam = agg.family
     D = fam.displacement(k, l)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InternalInconsistency
+from .errors import DimensionMismatch
 from .numerics import as_matrix, frobenius, kernel, orthonormal_range
 from .rng import Xorshift64Star
 from .tolerances import DEFAULT, Tolerance
@@ -124,16 +124,10 @@ def _require_same_ambient(*subspaces: Subspace) -> int:
 
 
 def join(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
-    """Smallest subspace containing both: the span of the union."""
-    return join_all((H1, H2), tol)
-
-
-def join_all(subspaces, tol: Tolerance = DEFAULT) -> Subspace:
-    """Span of the union, thresholded by the singular values of the stacked
-    bases."""
-    subspaces = list(subspaces)
-    _require_same_ambient(*subspaces)
-    return Subspace(orthonormal_range(np.hstack([H.basis for H in subspaces]), tol))
+    """Smallest subspace containing both: the span of the union, thresholded
+    by the singular values of the stacked bases."""
+    _require_same_ambient(H1, H2)
+    return Subspace(orthonormal_range(np.hstack([H1.basis, H2.basis]), tol))
 
 
 def meet(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
@@ -142,15 +136,31 @@ def meet(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
     Equivalently the kernel of P1 + P2 - 2I; symmetric in the arguments and
     thresholded spectrally.
     """
-    return meet_all((H1, H2), tol)
+    d = _require_same_ambient(H1, H2)
+    return Subspace(kernel(H1.projector() + H2.projector() - 2 * np.eye(d), tol))
+
+
+def _fold(combine, absorbing, subspaces, tol: Tolerance) -> Subspace:
+    """Pairwise fold of a lattice operation, left to right, that stops once
+    the accumulator is the operation's absorbing element."""
+    subs = list(subspaces)
+    _require_same_ambient(*subs)
+    acc = subs[0]
+    for H in subs[1:]:
+        if absorbing(acc):
+            break
+        acc = combine(acc, H, tol)
+    return acc
+
+
+def join_all(subspaces, tol: Tolerance = DEFAULT) -> Subspace:
+    """Span of the union: pairwise joins, stopping at the full space."""
+    return _fold(join, Subspace.is_full, subspaces, tol)
 
 
 def meet_all(subspaces, tol: Tolerance = DEFAULT) -> Subspace:
-    """Common intersection: kernel of sum(P_i) - n I (eigenvalue-n space)."""
-    subspaces = list(subspaces)
-    d = _require_same_ambient(*subspaces)
-    A = sum(H.projector() for H in subspaces) - len(subspaces) * np.eye(d)
-    return Subspace(kernel(A, tol))
+    """Common intersection: pairwise meets, stopping at the zero space."""
+    return _fold(meet, Subspace.is_zero, subspaces, tol)
 
 
 def orthocomplement(H: Subspace, tol: Tolerance = DEFAULT) -> Subspace:
@@ -166,20 +176,12 @@ def leq(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> bool:
 
 
 def commutes(H1: Subspace, H2: Subspace, tol: Tolerance = DEFAULT) -> bool:
-    """Lattice-theoretic commutation of two subspaces.
-
-    Tests both equivalent criteria: vanishing projector commutator, and
-    H1 = (H1 meet H2) join (H1 meet H2-perp).  They must agree.
-    """
+    """Lattice-theoretic commutation of two subspaces, tested as a vanishing
+    projector commutator ||P1 P2 - P2 P1|| (equivalent in exact arithmetic
+    to H1 = (H1 meet H2) join (H1 meet H2-perp))."""
     _require_same_ambient(H1, H2)
     P1, P2 = H1.projector(), H2.projector()
-    by_commutator = frobenius(P1 @ P2 - P2 @ P1) <= tol.identity_eps
-    rebuilt = join(meet(H1, H2, tol), meet(H1, orthocomplement(H2, tol), tol), tol)
-    by_lattice = frobenius(rebuilt.projector() - P1) <= tol.identity_eps
-    if by_commutator != by_lattice:
-        raise InternalInconsistency(
-            f"commutation criteria disagree: commutator->{by_commutator}, lattice->{by_lattice}")
-    return by_commutator
+    return frobenius(P1 @ P2 - P2 @ P1) <= tol.identity_eps
 
 
 def random_subspace(d: int, r: int, rng: Xorshift64Star,

@@ -6,14 +6,17 @@ projectors onto joins of every nonempty argument subset, plus a final
 and meets.  These vanish on Boolean (mutually commuting) families and
 quantify how far quantum probabilities are from being additive.
 
-The subset table exploits the absorbing elements of the lattice: H v 1 = 1
-and H ^ 0 = 0.  A subset one of whose one-element-smaller subsets already
-joins to the full space (meets to the zero space) reuses that entry instead
-of combining again, the alternating sum adds each distinct entry's projector
-once with its summed sign, and the final chain stops at its own absorbing
-element.  No rank decision changes: [U B] with U unitary has every singular
-value >= 1, and sum(P_i) - kI with a zero member has no eigenvalue above -1,
-so combining with an absorbing element always returns it again.
+Every lattice element comes from the pair primitives join and meet: the
+subset table combines one argument at a time, and the final term is
+lattice.meet_all (join_all for the dual), their pairwise fold.  Both exploit
+the absorbing elements of the lattice: H v 1 = 1 and H ^ 0 = 0.  A subset one
+of whose one-element-smaller subsets already joins to the full space (meets
+to the zero space) reuses that entry instead of combining again, the
+alternating sum adds each distinct entry's projector once with its summed
+sign, and the fold stops at its own absorbing element.  No rank decision
+changes: [U B] with U unitary has every singular value >= 1, and P1 + P2 - 2I
+with a zero member has no eigenvalue above -1, so combining with an
+absorbing element always returns it again.
 
 The identities these operators satisfy (the commutator link, the triple sum
 rule and its chain reductions) are stated once, in qlattice.sweeps.
@@ -25,7 +28,7 @@ import numpy as np
 
 from .errors import InvalidArgument, TooManyArguments
 from .lattice import (LatticeOperator, Subspace, _require_same_ambient, join,
-                      meet, orthocomplement)
+                      join_all, meet, meet_all, orthocomplement)
 from .numerics import frobenius
 from .tolerances import DEFAULT, Tolerance
 
@@ -71,8 +74,7 @@ def _subset_table(subs, combine, absorbing, tol):
     return table
 
 
-def _alternating_sum(subs, combine, absorbing, final_combine, final_absorbing,
-                     tol) -> np.ndarray:
+def _alternating_sum(subs, combine, absorbing, final, tol) -> np.ndarray:
     n = len(subs)
     d = subs[0].dim_ambient
     # one summed sign per distinct entry: absorbed subsets share an object
@@ -84,12 +86,7 @@ def _alternating_sum(subs, combine, absorbing, final_combine, final_absorbing,
         if weight:
             M += weight * H.projector()
     # final term uses the opposite lattice operation over all arguments
-    acc = subs[0]
-    for H in subs[1:]:
-        if final_absorbing(acc):
-            break
-        acc = final_combine(acc, H, tol)
-    M += (-1) ** n * acc.projector()
+    M += (-1) ** n * final(subs, tol).projector()
     return M
 
 
@@ -100,14 +97,14 @@ def mobius(subspaces, tol: Tolerance = DEFAULT) -> LatticeOperator:
     P(H1 v H2) + P(H1 ^ H2) - P(H1) - P(H2).
     """
     subs = _validated(subspaces)
-    M = _alternating_sum(subs, join, Subspace.is_full, meet, Subspace.is_zero, tol)
+    M = _alternating_sum(subs, join, Subspace.is_full, meet_all, tol)
     return LatticeOperator(M, subs)
 
 
 def mobius_dual(subspaces, tol: Tolerance = DEFAULT) -> LatticeOperator:
     """Dual operator: meets over subsets, join term at the end."""
     subs = _validated(subspaces)
-    M = _alternating_sum(subs, meet, Subspace.is_zero, join, Subspace.is_full, tol)
+    M = _alternating_sum(subs, meet, Subspace.is_zero, join_all, tol)
     return LatticeOperator(M, subs)
 
 

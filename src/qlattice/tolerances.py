@@ -13,10 +13,11 @@ from .errors import InvalidArgument, ParseError
 class Tolerance:
     """Thresholds for rank decisions and operator-identity residuals.
 
-    rank_eps gates every rank decision through numerics.rank_cutoff (which
-    singular values and eigenvalues count as zero).  identity_eps gates
+    rank_eps is read only by numerics.rank_cutoff, which makes every rank
+    decision (which singular values and eigenvalues count as zero), the
+    coherent aggregate's dependence test included.  identity_eps gates
     Frobenius residuals of operator identities and the boolean lattice
-    predicates.
+    predicates leq and commutes.
     """
 
     rank_eps: float = 1e-9

@@ -89,6 +89,16 @@ def test_coherent_position_basis(tmp_path, capsys):
     assert "trace: 3.000000" in out
 
 
+def test_coherent_rejects_zero_fiducial(tmp_path, capsys):
+    fid = tmp_path / "fid.json"
+    dump_json(matrix_to_json(np.zeros((3, 1))), str(fid))
+    with np.errstate(invalid="ignore"):  # the command normalizes 0 / 0
+        code = main(["coherent", "--d", "3", "--fiducial", str(fid),
+                     "--labels", "0,0;1,0"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: NonUnitFiducial: ")
+
+
 def test_mobius_command_matches_reference(example_files, capsys):
     code = main(["mobius", example_files["h1"], example_files["h2"],
                  "--rho", example_files["rho"]])

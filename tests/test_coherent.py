@@ -8,8 +8,9 @@ from qlattice.coherent import (CoherentAggregate, CoherentFamily,
                                pair_projector_residual,
                                perp_resolution_residual,
                                resolution_residuals)
-from qlattice.errors import (DuplicateLabel, EvenDimension,
+from qlattice.errors import (DuplicateLabel, EvenDimension, InvalidArgument,
                              LinearlyDependentState, NonUnitFiducial)
+from qlattice.lattice import join
 from qlattice.numerics import frobenius
 
 
@@ -30,6 +31,11 @@ def test_rejects_even_or_tiny_dimension():
 def test_rejects_unnormalized_fiducial():
     with pytest.raises(NonUnitFiducial):
         CoherentFamily(3, np.array([1.0, 1.0, 0.0]))
+
+
+def test_rejects_nan_fiducial():
+    with pytest.raises(NonUnitFiducial):
+        CoherentFamily(3, np.full(3, np.nan))
 
 
 def test_half_inverse_mod_three():
@@ -147,12 +153,30 @@ def test_full_aggregate_is_identity():
 def test_aggregate_rejects_duplicates_and_dependence():
     d = 3
     fam = family(d)
-    agg = CoherentAggregate.start(fam, (0, 0))
+    agg = CoherentAggregate.from_labels(fam, [(0, 0)])
     with pytest.raises(DuplicateLabel):
         agg.extend((0, 0))
     full = CoherentAggregate.from_labels(fam, [(0, 0), (1, 0), (0, 1)])
     with pytest.raises(LinearlyDependentState):
         full.extend((2, 2))
+
+
+def test_aggregate_needs_a_label():
+    with pytest.raises(InvalidArgument):
+        CoherentAggregate.from_labels(family(3), [])
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-6, 1e-8])
+def test_dependence_is_the_rank_gain_of_join(eps):
+    # Z moves the fiducial (1, eps, 0) by an angle of order eps
+    f = np.array([1.0, eps, 0.0])
+    fam = CoherentFamily(3, f / np.linalg.norm(f))
+    gain = join(fam.subspace(0, 0), fam.subspace(1, 0)).rank - 1
+    if gain:
+        assert CoherentAggregate.from_labels(fam, [(0, 0), (1, 0)]).span.rank == 2
+    else:
+        with pytest.raises(LinearlyDependentState):
+            CoherentAggregate.from_labels(fam, [(0, 0), (1, 0)])
 
 
 def test_position_basis_aggregate():
@@ -206,7 +230,7 @@ def test_trace_relation_with_identity_operator():
 def test_mixed_state_entropy():
     d = 3
     fam = family(d)
-    single = CoherentAggregate.start(fam, (0, 0))
+    single = CoherentAggregate.from_labels(fam, [(0, 0)])
     assert mixed_coherent_state(single).entropy() <= 1e-9
     pair = CoherentAggregate.from_labels(fam, [(0, 0), (1, 1)])
     assert abs(mixed_coherent_state(pair).entropy() - np.log(2)) <= 1e-9

@@ -1,5 +1,6 @@
-"""No module of the package or demo script imports a name it never uses, and
-only the command line resolves the environment's tolerance."""
+"""No module of the package or demo script imports a name it never uses,
+only the command line resolves the environment's tolerance, and only
+numerics reads the rank threshold."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,27 @@ def test_detects_tolerance_boundary_violation():
 def test_tolerance_boundary(path):
     assert tolerance_boundary_violations(path.read_text(encoding="utf-8"),
                                          may_read_env=path.name in ENV_READERS) == []
+
+
+# every rank decision goes through numerics.rank_cutoff; tolerances defines
+# and validates the field
+RANK_EPS_READERS = {"numerics.py", "tolerances.py"}
+
+
+def rank_eps_reads(source: str) -> list[str]:
+    """Reads of a rank_eps attribute (a keyword argument is not a read)."""
+    return [f"line {node.lineno}: rank_eps" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "rank_eps"]
+
+
+def test_detects_rank_eps_read():
+    snippet = ("if w <= tol.rank_eps:\n    pass\n"
+               "t = Tolerance(rank_eps=1e-9)\n"
+               "cut = DEFAULT.rank_eps * 2\n")
+    assert rank_eps_reads(snippet) == ["line 1: rank_eps", "line 4: rank_eps"]
+
+
+@pytest.mark.parametrize("path", [p for p in LIBRARY if p.name not in RANK_EPS_READERS],
+                         ids=lambda p: p.name)
+def test_rank_eps_read_only_by_numerics(path):
+    assert rank_eps_reads(path.read_text(encoding="utf-8")) == []

@@ -146,6 +146,16 @@ def test_commutes_symmetric(rng):
         assert commutes(H1, H2) == commutes(H2, H1)
 
 
+def test_commutes_near_parallel_lines_is_the_commutator_verdict():
+    # nearly parallel lines reach the angles where the join and the meet
+    # disagree on rank; commutes reads only the commutator, so it never raises
+    H1 = axis(3, 0)
+    for theta in np.logspace(-12, -2, 401):
+        H2 = Subspace.line([np.cos(theta), np.sin(theta), 0.0])
+        P1, P2 = H1.projector(), H2.projector()
+        assert commutes(H1, H2) == (frobenius(P1 @ P2 - P2 @ P1) <= 1e-9)
+
+
 def test_modularity_on_embedded_triples(rng):
     for _ in range(50):
         d = 3 + rng.integer(0, 4)
@@ -167,6 +177,15 @@ def test_distributivity_inequality(rng):
 def test_dimension_mismatch_raises(rng):
     with pytest.raises(DimensionMismatch):
         join(random_subspace(3, 1, rng), random_subspace(4, 1, rng))
+
+
+def test_folds_check_dimensions_before_absorbing():
+    # the zero (full) first argument would end the fold before any meet (join)
+    line4 = axis(4, 0)
+    with pytest.raises(DimensionMismatch):
+        meet_all([Subspace.zero(3), line4])
+    with pytest.raises(DimensionMismatch):
+        join_all([Subspace.full(3), line4])
 
 
 def test_inside_and_between_are_exact(rng):
